@@ -7,13 +7,13 @@ miss, so it bypasses µarch-statistics detection.
 
 import pytest
 
-from benchmarks._common import emit
+from benchmarks._common import cell_rows, emit
 from repro.experiments import fig4
 
 
 @pytest.mark.figure
 def test_fig4_stealthystreamline(benchmark):
-    rows = benchmark(fig4.run, num_ways=8, message_bits=512)
+    rows = benchmark(cell_rows, "fig4", "bench", num_ways=8, message_bits=512)
     emit("Figure 4", fig4.format_results(rows))
     by_name = {row["channel"]: row for row in rows}
     stealthy = by_name["stealthy_streamline"]

@@ -7,13 +7,13 @@ magnitude at 8 ways and beyond.
 
 import pytest
 
-from benchmarks._common import emit
+from benchmarks._common import cell_rows, emit
 from repro.experiments import search_comparison
 
 
 @pytest.mark.table
 def test_search_comparison(benchmark, bench_scale):
-    rows = benchmark(search_comparison.run, scale=bench_scale)
+    rows = benchmark(cell_rows, "search", bench_scale)
     emit("Section VI-A", search_comparison.format_results(rows))
     analytical = {row["num_ways"]: row for row in rows if row["kind"] == "analytical"}
     assert analytical[8]["brute_force_steps"] > 100 * analytical[8]["rl_steps_reference"]

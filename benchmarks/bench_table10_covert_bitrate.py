@@ -7,13 +7,13 @@ on the 8-way parts (the paper reports up to 24% and up to 71% respectively).
 
 import pytest
 
-from benchmarks._common import emit
+from benchmarks._common import cell_rows, emit
 from repro.experiments import table10_fig5
 
 
 @pytest.mark.table
 def test_table10_covert_bitrate(benchmark):
-    rows = benchmark(table10_fig5.run, message_bits=2048)
+    rows = benchmark(cell_rows, "table10", "bench", message_bits=2048)
     emit("Table X", table10_fig5.format_results(rows))
     assert len(rows) == 4
     for row in rows:

@@ -8,13 +8,13 @@ extracted sequence.  At bench scale a single 4-way L2 partition is explored;
 
 import pytest
 
-from benchmarks._common import emit, run_once
+from benchmarks._common import cell_rows, emit, run_once
 from repro.experiments import table3
 
 
 @pytest.mark.table
 def test_table3_real_hardware(benchmark, bench_scale):
-    rows = run_once(benchmark, table3.run, scale=bench_scale)
+    rows = run_once(benchmark, cell_rows, "table3", bench_scale)
     emit("Table III", table3.format_results(rows))
     assert rows
     # Sanity: the agent is at least at the accuracy of always guessing one of

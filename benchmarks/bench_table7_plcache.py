@@ -6,13 +6,13 @@ but needs at least as much training as against the unprotected baseline.
 
 import pytest
 
-from benchmarks._common import emit, run_once
+from benchmarks._common import cell_rows, emit, run_once
 from repro.experiments import table7
 
 
 @pytest.mark.table
 def test_table7_plcache(benchmark, bench_scale):
-    rows = run_once(benchmark, table7.run, scale=bench_scale)
+    rows = run_once(benchmark, cell_rows, "table7", bench_scale)
     emit("Table VII", table7.format_results(rows))
     by_cache = {row["cache"]: row for row in rows}
     assert set(by_cache) == {"PL Cache", "Baseline"}

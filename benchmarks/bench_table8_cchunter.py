@@ -7,13 +7,13 @@ agent stays well below the textbook attacker's autocorrelation.
 
 import pytest
 
-from benchmarks._common import emit, run_once
+from benchmarks._common import cell_rows, emit, run_once
 from repro.experiments import table8_fig3
 
 
 @pytest.mark.table
 def test_table8_cchunter_bypass(benchmark, bench_scale):
-    rows = run_once(benchmark, table8_fig3.run, scale=bench_scale)
+    rows = run_once(benchmark, cell_rows, "table8", bench_scale)
     emit("Table VIII", table8_fig3.format_results(rows))
     by_attack = {row["attack"]: row for row in rows}
     assert set(by_attack) == {"textbook", "RL baseline", "RL autocor"}

@@ -7,13 +7,13 @@ attacker.
 
 import pytest
 
-from benchmarks._common import emit, run_once
+from benchmarks._common import cell_rows, emit, run_once
 from repro.experiments import table9
 
 
 @pytest.mark.table
 def test_table9_svm_bypass(benchmark, bench_scale):
-    rows = run_once(benchmark, table9.run, scale=bench_scale)
+    rows = run_once(benchmark, cell_rows, "table9", bench_scale)
     emit("Table IX", table9.format_results(rows))
     by_attack = {row["attack"]: row for row in rows}
     assert set(by_attack) == {"textbook", "RL baseline", "RL SVM"}

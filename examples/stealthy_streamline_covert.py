@@ -22,19 +22,21 @@ from repro.attacks import (
     StreamlineChannel,
     run_spectre_demo,
 )
-from repro.experiments import table10_fig5
-from repro.experiments.fig4 import run as fig4_run
+from repro.experiments import fig4, table10_fig5
 from repro.experiments.common import format_table
+from repro.hardware.machines import TABLE10_MACHINES
 
 
 def main() -> None:
     print("1. Covert channels on the cache simulator (8-way LRU set)")
-    rows = fig4_run(num_ways=8, message_bits=2048)
+    rows = [fig4.run_cell({"channel": channel, "num_ways": 8, "message_bits": 2048})
+            for channel in fig4.CHANNEL_BUILDERS]
     print(format_table(rows, ["channel", "bits_per_symbol", "bits_per_access",
                               "error_rate", "victim_misses", "bypasses_miss_detection"]))
 
     print("\n2. Bit rates on the simulated real machines (Table X)")
-    table_rows = table10_fig5.run(message_bits=2048)
+    table_rows = [table10_fig5.run_cell({"machine": machine.name, "message_bits": 2048})
+                  for machine in TABLE10_MACHINES]
     print(table10_fig5.format_results(table_rows))
 
     print("\n3. Bit rate vs error rate (Figure 5, lowest-noise point per machine)")

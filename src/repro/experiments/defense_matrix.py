@@ -44,12 +44,6 @@ from repro.experiments.common import (
 )
 from repro.scenarios import make_factory
 
-#: The default matrix: disjoint-range base scenarios x defense columns
-#: ("none" is the undefended baseline).
-SCENARIOS = ("guessing/lru-4way-disjoint", "guessing/plcache-baseline-4way",
-             "guessing/sa-4set-2way")
-DEFENSES = ("none", "plcache", "keyed-remap", "way-partition", "random-fill")
-
 COLUMNS = ("scenario", "defense", "probe_accuracy", "accuracy",
            "bits_per_episode", "episode_length", "epochs_to_converge",
            "converged")
@@ -60,12 +54,6 @@ _UPDATE_BUDGETS = {"smoke": 160}
 #: Probe evaluation trials per secret (the probe is deterministic up to the
 #: episode warm-up, so a few dozen trials pin the signature -> secret map).
 PROBE_TRIALS = 60
-
-
-def matrix_cells() -> List[Dict]:
-    """The default cell grid (also registered statically in repro.runs)."""
-    return [{"scenario": scenario, "defense": defense}
-            for scenario in SCENARIOS for defense in DEFENSES]
 
 
 def replacement_probe_sequence(env) -> List[int]:
@@ -136,12 +124,6 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
         "converged": result.converged,
         "example_sequence": example,
     }
-
-
-def run(scale: ScaleLike = "bench", seed: int = 0) -> List[Dict]:
-    """Run the full matrix in-process (campaigns prefer ``repro.run``)."""
-    scale = resolve_scale(scale)
-    return [run_cell(params, scale, seed=seed) for params in matrix_cells()]
 
 
 def format_results(rows: List[Dict]) -> str:

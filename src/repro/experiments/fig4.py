@@ -43,13 +43,6 @@ def run_cell(params: Dict, scale=None, seed: int = 0, ctx=None) -> Dict:
     }
 
 
-def run(scale=None, num_ways: int = 8, message_bits: int = 512, seed: int = 0) -> List[Dict]:
-    """Transmit the same message through each channel; compare rate and stealth."""
-    return [run_cell({"channel": name, "num_ways": num_ways, "message_bits": message_bits},
-                     scale, seed=seed)
-            for name in CHANNEL_BUILDERS]
-
-
 def cache_state_walkthrough(num_ways: int = 8, seed: int = 0) -> List[Dict]:
     """Figure 4(d): per-symbol decode trace of the StealthyStreamline channel."""
     channel = StealthyStreamlineChannel(num_ways=num_ways, seed=seed)

@@ -45,13 +45,6 @@ def run_cell(params: Dict, scale=None, seed: int = 0, ctx=None) -> Dict:
     }
 
 
-def run(scale=None, message_bits: int = 2048, seed: int = 0) -> List[Dict]:
-    """Table X rows: per machine, the two channels' bit rates at <5% error."""
-    return [run_cell({"machine": machine.name, "message_bits": message_bits},
-                     scale, seed=seed)
-            for machine in TABLE10_MACHINES]
-
-
 def figure5_curves(message_bits: int = 2048, seed: int = 0, trials: int = 5) -> Dict[str, Dict]:
     """Figure 5: bit-rate vs error-rate curves for both channels on every machine."""
     curves: Dict[str, Dict] = {}

@@ -49,12 +49,6 @@ def run_cell(params: Dict, scale: ScaleLike = None, seed: int = 0, ctx=None) -> 
     }
 
 
-def run(scale=None) -> List[Dict]:
-    """Evaluate every known attack category on its matching scenario."""
-    return [run_cell({"attack_category": name}, scale)
-            for name, _scenario, _builder in KNOWN_ATTACK_CASES]
-
-
 def format_results(rows: List[Dict]) -> str:
     return format_table(rows, ["attack_category", "attacker_actions", "victim_actions",
                                "observation", "accuracy"],

@@ -16,7 +16,7 @@ scale).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from repro.analysis.classifier import classify_sequence
 from repro.attacks.evaluate import evaluate_action_sequence
@@ -109,16 +109,6 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
             sequence = AttackSequence.from_labels(representative)
             row["rl_category"] = classify_sequence(sequence, env_config).value
     return row
-
-
-def run(scale: ScaleLike = "bench", rl_configs: Optional[Sequence[int]] = None,
-        seed: int = 0) -> List[Dict]:
-    """Verify textbook feasibility for all configs; run RL on the selected subset."""
-    scale = resolve_scale(scale)
-    rl_set = set(default_rl_configs(scale) if rl_configs is None else rl_configs)
-    return [run_cell({"config": entry.number, "rl": entry.number in rl_set},
-                     scale, seed=seed)
-            for entry in table4_configs()]
 
 
 def _make_factory(entry: TableIVConfig):

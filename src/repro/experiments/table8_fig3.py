@@ -153,14 +153,6 @@ def run_cell(params: Dict, scale: ScaleLike, seed: int = 0, ctx=None) -> Dict:
             "trains": trains}
 
 
-def run(scale: ScaleLike = "bench", seed: int = 0,
-        eval_episodes: int = 5) -> List[Dict]:
-    """Produce the three Table VIII rows (textbook, RL baseline, RL autocor)."""
-    scale = resolve_scale(scale)
-    return [run_cell({"attack": attack, "eval_episodes": eval_episodes}, scale, seed=seed)
-            for attack in ("textbook", "RL baseline", "RL autocor")]
-
-
 def figure3_data(rows: List[Dict], max_lag: int = 30) -> Dict[str, Dict]:
     """Event trains and autocorrelograms for one episode of each agent (Figure 3)."""
     figure: Dict[str, Dict] = {}

@@ -52,8 +52,6 @@ from repro.runs.registry import (
 from repro.runs.runner import (
     CampaignResult,
     campaign_id,
-    campaign_status,
-    list_campaigns,
     load_rows,
     run,
 )
@@ -81,10 +79,8 @@ __all__ = [
     "atomic_write_pickle",
     "atomic_write_text",
     "campaign_id",
-    "campaign_status",
     "get_experiment",
     "is_experiment_registered",
-    "list_campaigns",
     "list_experiments",
     "load_rows",
     "quarantined_files",

@@ -5,10 +5,10 @@ checkpoints, policies) goes through the helpers here so that the artifact
 tree is **valid by construction** at every instant:
 
 * **atomicity** — writes go to a hidden temp file in the destination
-  directory (``.<name>.tmp-<pid>``), are flushed and fsynced, and land via
-  ``os.replace``.  A crash at any point leaves either the old file or the
-  new one, never a torn hybrid; the temp file is unlinked on failure so no
-  strays accumulate;
+  directory (``.<name>.tmp-<pid>-<thread>``), are flushed and fsynced, and
+  land via ``os.replace``.  A crash at any point leaves either the old file
+  or the new one, never a torn hybrid; the temp file is unlinked on failure
+  so no strays accumulate;
 * **integrity** — every write records the content's SHA-256 in a sidecar
   (``<name>.sha256``, ``sha256sum`` format).  Loads verify it; artifacts
   predating the sidecar convention are accepted as legacy but still must
@@ -30,13 +30,16 @@ import hashlib
 import json
 import os
 import pickle
+import threading
 from pathlib import Path
 from typing import Any, List, Optional
 
 from repro.rl.stats import dump_json
 
-#: Temp-file naming: ``.<name>.tmp-<pid>`` in the destination directory (same
-#: filesystem, so ``os.replace`` is atomic).  ``stray_tmp_files`` globs this.
+#: Temp-file naming: ``.<name>.tmp-<pid>-<thread>`` in the destination directory
+#: (same filesystem, so ``os.replace`` is atomic; the thread id keeps two
+#: threads of one process that write the same file from sharing a temp file).
+#: ``stray_tmp_files`` globs this.
 TMP_GLOB = ".*.tmp-*"
 #: Quarantined artifacts: ``<name>.corrupt-N`` next to where the file lived.
 CORRUPT_GLOB = "*.corrupt-*"
@@ -80,7 +83,7 @@ def _fsync_dir(directory: Path) -> None:
 
 
 def _tmp_path(path: Path) -> Path:
-    return path.with_name(f".{path.name}.tmp-{os.getpid()}")
+    return path.with_name(f".{path.name}.tmp-{os.getpid()}-{threading.get_ident()}")
 
 
 def _replace_atomically(path: Path, data: bytes) -> None:

@@ -4,8 +4,7 @@ Subcommands
 -----------
 ``run``      run (or resume) an experiment campaign and print its rows
 ``list``     list registered experiments (``--scenarios`` for environments)
-``status``   show completion state of campaigns (catalogue-backed when a
-             ``catalog.sqlite`` exists under the root; tree scan otherwise)
+``status``   show completion state of the campaigns in the root's catalogue
 ``results``  print the rows of an existing campaign artifact
 ``submit``   register a campaign in the catalogue + enqueue its cells
 ``work``     drain the job queue as one cooperative worker (``--server`` for
@@ -13,7 +12,7 @@ Subcommands
 ``serve``    the campaign service HTTP API (submit/status/stream/query/leases)
 ``proxy``    a deterministic TCP chaos proxy in front of ``repro serve``
 ``query``    cross-run aggregation over the catalogue (cells or bench rows)
-``store``    catalogue maintenance (``store ingest`` backfills legacy trees)
+``store``    catalogue maintenance (``store ingest`` loads BENCH_*.json files)
 ``top``      live terminal dashboard: campaign progress, worker roster,
              telemetry ticker (``--once`` for a single CI-friendly frame)
 
@@ -40,7 +39,7 @@ from repro.experiments.common import SCALES
 from repro.rl.stats import dump_json
 from repro.runs.context import CampaignInterrupted
 from repro.runs.registry import get_experiment, list_experiments
-from repro.runs.runner import list_campaigns, load_rows, run
+from repro.runs.runner import load_rows, run
 
 
 def _add_scale_argument(parser: argparse.ArgumentParser) -> None:
@@ -93,12 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="list registered environment scenarios instead")
 
     status_parser = commands.add_parser(
-        "status", help="show completion state of campaign artifacts")
+        "status", help="show completion state of the catalogued campaigns")
     status_parser.add_argument("--root", default="runs",
                                help="artifact root directory (default: runs)")
-    status_parser.add_argument("--no-catalog", action="store_true",
-                               help="force the artifact-tree scan even when a "
-                                    "catalog.sqlite exists under the root")
     status_parser.add_argument("--watch", type=float, default=None,
                                metavar="SECONDS",
                                help="reprint the status every N seconds "
@@ -157,11 +153,6 @@ def _build_parser() -> argparse.ArgumentParser:
     work_parser.add_argument("--client-backoff", type=float, default=0.25,
                              help="base retry backoff seconds, doubling per "
                                   "retry up to 8s (remote mode)")
-    work_parser.add_argument("--net-chaos", default=None,
-                             help="deterministic network fault injection: a "
-                                  "NetworkChaosPlan JSON file or inline JSON "
-                                  "(also via REPRO_NET_CHAOS_PLAN; remote "
-                                  "mode only)")
 
     serve_parser = commands.add_parser(
         "serve", help="run the campaign service HTTP API")
@@ -179,8 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     proxy_parser.add_argument("--port", type=int, default=0,
                               help="listen port (0 picks a free one)")
     proxy_parser.add_argument("--plan", default=None,
-                              help="NetworkChaosPlan JSON file or inline JSON "
-                                   "(also via REPRO_NET_CHAOS_PLAN)")
+                              help="NetworkChaosPlan JSON file or inline JSON")
 
     query_parser = commands.add_parser(
         "query", help="aggregate a metric across all catalogued runs")
@@ -213,10 +203,11 @@ def _build_parser() -> argparse.ArgumentParser:
     store_commands = store_parser.add_subparsers(dest="store_command",
                                                  required=True)
     ingest_parser = store_commands.add_parser(
-        "ingest", help="backfill the catalogue from legacy runs/ trees "
-                       "and BENCH_*.json files")
+        "ingest", help="load BENCH_*.json files into the catalogue's "
+                       "bench table")
     ingest_parser.add_argument("--root", default="runs",
-                               help="runs tree to ingest (default: runs)")
+                               help="runs root whose catalogue to fill "
+                                    "(default: runs)")
     ingest_parser.add_argument("--bench", action="append", default=[],
                                help="BENCH_*.json trajectory file to ingest "
                                     "(repeatable; re-ingest replaces its rows)")
@@ -323,34 +314,16 @@ def _command_status(args: argparse.Namespace) -> int:
 
 
 def _status_once(args: argparse.Namespace) -> int:
+    """``repro status`` from the catalogue (runs + per-cell attempt counts)."""
+    from repro.runs.artifacts import quarantined_files
+    from repro.store.catalog import Catalog
     from repro.store.connection import catalog_path
 
     catalog_file = catalog_path(Path(args.root))
-    if catalog_file.exists() and not args.no_catalog:
-        return _catalog_status(catalog_file)
-    campaigns = list_campaigns(args.root)
-    if not campaigns:
-        print(f"no campaign artifacts under {args.root}/")
+    if not catalog_file.exists():
+        print(f"no catalogue at {catalog_file}; run or submit a campaign "
+              "under this root first")
         return 0
-    header = (f"{'campaign':<28} {'experiment':<14} {'scale':<6} {'cells':<9} "
-              f"{'failed':<7} {'attempts':<9} {'quarantined':<12} status")
-    print(header)
-    print("-" * len(header))
-    for status in campaigns:
-        cells = f"{status['completed']}/{status['cells']}"
-        print(f"{status['campaign']:<28} {status['experiment']:<14} "
-              f"{status['scale']:<6} {cells:<9} {status['failed']:<7} "
-              f"{status['attempts']:<9} {status['quarantined']:<12} "
-              f"{status['status']}")
-    return 0
-
-
-def _catalog_status(catalog_file: Path) -> int:
-    """``repro status`` from the catalogue (runs + per-cell attempt counts)."""
-    from repro.store.catalog import Catalog
-
-    from repro.runs.artifacts import quarantined_files
-
     with Catalog(catalog_file) as catalog:
         runs = catalog.list_runs()
         draining_workers = catalog.active_workers_by_run()
@@ -376,7 +349,7 @@ def _catalog_status(catalog_file: Path) -> int:
               f"{record['scale']:<6} {cells:<9} {record['failed'] or 0:<7} "
               f"{record['attempts']:<9} {workers_cell}{quarantined:<12} "
               f"{record['status']}")
-    print(f"\n(catalogue: {catalog_file}; pass --no-catalog for the tree scan)")
+    print(f"\n(catalogue: {catalog_file})")
     return 0
 
 
@@ -428,8 +401,7 @@ def _command_work(args: argparse.Namespace) -> int:
                        server=args.server,
                        client_timeout=args.client_timeout,
                        client_retries=args.client_retries,
-                       client_backoff=args.client_backoff,
-                       chaos_plan=args.net_chaos)
+                       client_backoff=args.client_backoff)
     except RetryableTransportError as error:
         print(f"worker gave up: {error}", file=sys.stderr)
         return 5
@@ -499,7 +471,7 @@ def _command_query(args: argparse.Namespace) -> int:
                     else catalog_path(Path(args.root)))
     if not catalog_file.exists():
         print(f"no catalogue at {catalog_file}; run a campaign or "
-              "'repro store ingest' first", file=sys.stderr)
+              "'repro store ingest --bench' first", file=sys.stderr)
         return 1
     with Catalog(catalog_file) as catalog:
         if args.list_keys:
@@ -534,8 +506,7 @@ def _command_store(args: argparse.Namespace) -> int:
 
     summary = ingest(root=args.root, bench_files=args.bench,
                      catalog_file=args.catalog)
-    print(f"ingested {summary['runs']} run(s), {summary['cells']} cell "
-          f"record(s), {summary['bench_rows']} bench row(s) into "
+    print(f"ingested {summary['bench_rows']} bench row(s) into "
           f"{summary['catalog']}")
     return 0
 

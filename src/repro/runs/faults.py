@@ -1,9 +1,7 @@
 """Deterministic chaos injection for campaign runs.
 
 A :class:`FaultPlan` is a frozen, JSON-round-trippable description of the
-faults to inject into one campaign — the generalization of the old
-``REPRO_RUN_INTERRUPT_AFTER_UPDATES`` single-kill hook into a real harness.
-Four fault kinds are supported:
+faults to inject into one campaign.  Four fault kinds are supported:
 
 ``kill``
     Raise :class:`InjectedFault` (a :class:`CampaignInterrupted`) right after
@@ -23,11 +21,11 @@ Four fault kinds are supported:
     runner's per-cell watchdog timeout, which kills and reclaims the hung
     worker.
 
-Every fault names the cell it targets (``cell=None`` matches any cell, as
-the legacy interrupt hook did) and fires **once** by default: the injector
-records fired faults under ``<out_dir>/faults/`` so a resumed campaign does
-not re-inject them — which is exactly what makes "run under a fault plan,
-then resume to completion" deterministic.  Plans travel three ways:
+Every fault names the cell it targets (``cell=None`` matches any cell) and
+fires **once**: the injector records fired faults under
+``<out_dir>/faults/`` so a resumed campaign does not re-inject them — which
+is exactly what makes "run under a fault plan, then resume to completion"
+deterministic.  Plans travel three ways:
 ``repro.run(fault_plan=...)``, the ``REPRO_RUN_FAULT_PLAN`` environment
 variable (inline JSON or a file path), and ``python -m repro run
 --fault-plan``.
@@ -44,8 +42,8 @@ injects, by request index rather than by artifact, with kinds
 ``http-500``
     A synthetic 5xx response without touching the server (retryable).
 ``stall``
-    Delay the request ``delay_seconds`` — a slow network/server; against
-    the TCP proxy this trips the client's per-request deadline.
+    Delay the request ``delay_seconds`` — a slow network/server that can
+    trip the client's per-request deadline.
 ``drop-response``
     Deliver the request, then lose the response — the dangerous half-open
     case: the mutation *was* applied, the client must retry with the same
@@ -54,15 +52,12 @@ injects, by request index rather than by artifact, with kinds
     Deliver the same request twice — the network-duplication case the
     idempotency-key dedup must absorb.
 
-Two enforcement points consume these plans deterministically:
-:class:`repro.store.client.ChaosTransport` (in-process, wraps the
-``StoreClient`` transport) and :class:`repro.store.chaos.ChaosProxy` (a real
-TCP proxy for subprocess/CI drains).  Each fault names the request index it
-fires at, counted per fault over the requests matching its ``op`` filter,
-so a given plan always perturbs the same protocol steps.  Plans travel as
-``work(chaos_plan=...)``, the ``REPRO_NET_CHAOS_PLAN`` environment variable
-(inline JSON or a file path), and ``python -m repro work --net-chaos`` /
-``python -m repro proxy --plan``.
+:class:`repro.store.chaos.ChaosProxy` — a real TCP proxy placed between
+``repro work --server`` workers and ``repro serve`` — consumes these plans
+deterministically.  Each fault names the request index it fires at, counted
+per fault over the requests matching its ``op`` filter, so a given plan
+always perturbs the same protocol steps.  Plans travel as
+``python -m repro proxy --plan`` (inline JSON or a file path).
 """
 
 from __future__ import annotations
@@ -80,9 +75,6 @@ from repro.runs.context import CampaignInterrupted
 
 #: Environment variable carrying a fault plan (inline JSON or a file path).
 FAULT_PLAN_ENV_VAR = "REPRO_RUN_FAULT_PLAN"
-
-#: Environment variable carrying a network chaos plan (JSON or file path).
-NET_CHAOS_ENV_VAR = "REPRO_NET_CHAOS_PLAN"
 
 FAULT_KINDS = ("kill", "torn-write", "bit-flip", "stall")
 
@@ -121,10 +113,6 @@ class Fault:
     then_kill:
         For ``torn-write``/``bit-flip``: whether the corruption is followed
         by a kill (a crash mid-write) or stays silent until the next load.
-    once:
-        Fire a single time across the campaign's whole life (recorded in the
-        artifact tree); False re-fires on every match, which is how the
-        legacy ``interrupt_after_updates`` behaved.
     """
 
     kind: str
@@ -133,7 +121,6 @@ class Fault:
     at_update: Optional[int] = None
     delay_seconds: float = 0.0
     then_kill: bool = True
-    once: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
@@ -185,12 +172,6 @@ class FaultPlan:
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
         return cls.from_dict(json.loads(text))
-
-    @classmethod
-    def interrupt_after_updates(cls, updates: int) -> "FaultPlan":
-        """The legacy hook: every cell is killed at its ``updates`` boundary."""
-        return cls(faults=(Fault(kind="kill", cell=None, artifact="checkpoint",
-                                 at_update=int(updates), once=False),))
 
 
 @dataclass(frozen=True)
@@ -272,17 +253,12 @@ class NetworkChaosPlan:
         return cls.from_dict(json.loads(text))
 
 
-def resolve_network_chaos_plan(
-        chaos_plan: Any = None,
-        environ: Optional[Mapping[str, str]] = None) -> Optional[NetworkChaosPlan]:
-    """Normalize the chaos-plan channels: argument, then env var, then None.
+def resolve_network_chaos_plan(chaos_plan: Any = None) -> Optional[NetworkChaosPlan]:
+    """Normalize a chaos plan (None stays None).
 
     Accepts a :class:`NetworkChaosPlan`, a mapping, inline JSON text, or a
     path to a JSON file — mirroring :func:`resolve_fault_plan`.
     """
-    environ = os.environ if environ is None else environ
-    if chaos_plan is None and environ.get(NET_CHAOS_ENV_VAR):
-        chaos_plan = environ[NET_CHAOS_ENV_VAR]
     if chaos_plan is None:
         return None
     if isinstance(chaos_plan, NetworkChaosPlan):
@@ -296,35 +272,32 @@ def resolve_network_chaos_plan(
 
 
 def resolve_fault_plan(fault_plan: Any = None,
-                       interrupt_after_updates: Optional[int] = None,
                        environ: Optional[Mapping[str, str]] = None) -> Optional[FaultPlan]:
-    """Normalize the three fault-plan channels into one plan (or None).
+    """Normalize the two fault-plan channels into one plan (or None).
 
     Precedence: explicit ``fault_plan`` argument, then the
     ``REPRO_RUN_FAULT_PLAN`` environment variable (inline JSON or a path to
-    a JSON file), then the legacy ``interrupt_after_updates`` hook.
+    a JSON file).
     """
     environ = os.environ if environ is None else environ
     if fault_plan is None and environ.get(FAULT_PLAN_ENV_VAR):
         fault_plan = environ[FAULT_PLAN_ENV_VAR]
-    if fault_plan is not None:
-        if isinstance(fault_plan, FaultPlan):
-            return fault_plan
-        if isinstance(fault_plan, Mapping):
-            return FaultPlan.from_dict(fault_plan)
-        text = str(fault_plan).strip()
-        if not text.startswith("{"):
-            text = Path(text).read_text()
-        return FaultPlan.from_json(text)
-    if interrupt_after_updates is not None:
-        return FaultPlan.interrupt_after_updates(interrupt_after_updates)
-    return None
+    if fault_plan is None:
+        return None
+    if isinstance(fault_plan, FaultPlan):
+        return fault_plan
+    if isinstance(fault_plan, Mapping):
+        return FaultPlan.from_dict(fault_plan)
+    text = str(fault_plan).strip()
+    if not text.startswith("{"):
+        text = Path(text).read_text()
+    return FaultPlan.from_json(text)
 
 
 class FaultInjector:
     """Applies one cell's share of a :class:`FaultPlan` at runtime hooks.
 
-    Fired once-only faults are recorded as files under
+    Fired faults are recorded as files under
     ``<out_dir>/faults/`` (atomic writes, safe across pool workers), so the
     injector is crash- and resume-consistent: a fault that killed the
     campaign stays fired when the campaign is re-run on the same artifact
@@ -347,8 +320,6 @@ class FaultInjector:
         return index in self._fired_in_memory
 
     def _record(self, index: int, fault: Fault, **detail: Any) -> None:
-        if not fault.once:
-            return
         if self._state_dir is not None:
             atomic_write_json(self._state_dir / f"fired-{index:02d}.json",
                               {"fault": fault.to_dict(), "cell": self.cell_index,
@@ -366,7 +337,7 @@ class FaultInjector:
                 continue
             if fault.at_update != at_update:
                 continue
-            if fault.once and self._fired(index):
+            if self._fired(index):
                 continue
             matched.append((index, fault))
         return matched

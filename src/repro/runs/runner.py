@@ -46,8 +46,11 @@ independent *cells* (one per table row).  The runner:
   (``fault_plan=`` argument, ``REPRO_RUN_FAULT_PLAN`` env var, or
   ``--fault-plan`` on the CLI) deterministically kills cells at checkpoint
   boundaries, tears or bit-flips just-written artifacts, and stalls workers
-  past the watchdog — subsuming the legacy
-  ``REPRO_RUN_INTERRUPT_AFTER_UPDATES`` hook.
+  past the watchdog;
+
+* **records every outcome in the SQLite catalogue** (:mod:`repro.store`),
+  the source of ``repro status``: cell status, attempt count and elapsed
+  seconds.
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ from repro.runs.artifacts import (
     clear_quarantine,
     load_json,
     quarantine,
-    quarantined_files,
 )
 from repro.runs.context import CampaignInterrupted, CellContext
 from repro.runs.faults import FaultInjector, FaultPlan, resolve_fault_plan
@@ -78,9 +80,6 @@ from repro.runs.spec import ExperimentSpec
 
 MANIFEST_FORMAT = "repro-campaign"
 MANIFEST_VERSION = 1
-
-# Legacy deterministic fault injection (now a one-kill FaultPlan; see faults.py).
-INTERRUPT_ENV_VAR = "REPRO_RUN_INTERRUPT_AFTER_UPDATES"
 
 #: Cell outcome statuses the runner reports.
 CELL_STATUSES = ("completed", "cached", "failed", "timeout", "interrupted")
@@ -193,8 +192,8 @@ def _check_manifest(existing: Dict, fresh: Dict, out_dir: Path) -> None:
 
 
 # ----------------------------------------------------------- cell execution
-def _load_cached_row(result_file: Path) -> Optional[Dict]:
-    """The verified cached row, or None after quarantining a corrupt file."""
+def _load_result(result_file: Path) -> Optional[Dict]:
+    """The verified result.json payload, or None after quarantining a corrupt file."""
     if not result_file.exists():
         return None
     try:
@@ -202,17 +201,24 @@ def _load_cached_row(result_file: Path) -> Optional[Dict]:
     except CorruptArtifactError:
         telemetry.counter("runner.cells.quarantined").inc()
         return None
-    row = payload.get("row") if isinstance(payload, dict) else None
-    if row is None:
+    if not isinstance(payload, dict) or payload.get("row") is None:
         quarantine(result_file, "result.json without a row")
         telemetry.counter("runner.cells.quarantined").inc()
         return None
-    return row
+    return payload
+
+
+def _cached_outcome(index: int, result_file: Path) -> Optional[Dict]:
+    """The outcome of a cell finished by an earlier invocation, or None."""
+    payload = _load_result(result_file)
+    if payload is None:
+        return None
+    return {"index": index, "row": payload["row"], "status": "cached",
+            "elapsed_seconds": payload.get("elapsed_seconds")}
 
 
 def _execute_cell(spec_data: Dict, scale_data: Dict, seed: int, index: int,
                   params: Dict, cell_dir: str, out_dir: str, checkpoint_every: int,
-                  interrupt_after_updates: Optional[int],
                   fault_plan: Optional[Dict] = None, **_budget: Any) -> Dict:
     """Run one cell to completion (resuming in-flight training if any).
 
@@ -222,19 +228,19 @@ def _execute_cell(spec_data: Dict, scale_data: Dict, seed: int, index: int,
     scale = ExperimentScale.from_dict(scale_data)
     cell_path = Path(cell_dir)
     result_file = cell_path / "result.json"
-    cached = _load_cached_row(result_file)
+    cached = _cached_outcome(index, result_file)
     if cached is not None:
-        return {"index": index, "row": cached, "status": "cached"}
+        return cached
     cell_path.mkdir(parents=True, exist_ok=True)
     injector = None
     if fault_plan is not None:
         injector = FaultInjector(FaultPlan.from_dict(fault_plan), Path(out_dir), index)
         injector.on_cell_start()
     ctx = CellContext(cell_path, checkpoint_every=checkpoint_every,
-                      interrupt_after_updates=interrupt_after_updates,
                       injector=injector)
     started = time.perf_counter()
     row = spec.run_cell(params, scale, seed=seed, ctx=ctx)
+    elapsed = time.perf_counter() - started
     payload = {
         "experiment": spec.experiment_id,
         "scale": scale.name,
@@ -242,7 +248,7 @@ def _execute_cell(spec_data: Dict, scale_data: Dict, seed: int, index: int,
         "index": index,
         "params": params,
         "row": row,
-        "elapsed_seconds": time.perf_counter() - started,
+        "elapsed_seconds": elapsed,
     }
     atomic_write_json(result_file, payload, indent=2)
     # Round-trip the row through the same JSON path that resume uses, so
@@ -255,7 +261,8 @@ def _execute_cell(spec_data: Dict, scale_data: Dict, seed: int, index: int,
     clear_quarantine(cell_path)
     if injector is not None:
         injector.on_artifact_written("result", result_file)
-    return {"index": index, "row": row, "status": "completed"}
+    return {"index": index, "row": row, "status": "completed",
+            "elapsed_seconds": elapsed}
 
 
 def _error_record(index: int, error: BaseException, attempt: int,
@@ -309,6 +316,8 @@ def _attempt_cell(payload: Dict) -> Dict:
                     outcome = _execute_cell(**payload)
                 telemetry.counter(
                     "runner.cells." + outcome.get("status", "completed")).inc()
+                if outcome["status"] == "completed":
+                    outcome["attempt"] = prior + attempt
                 return outcome
             except (KeyboardInterrupt, SystemExit):
                 raise
@@ -510,7 +519,6 @@ def cell_payloads(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
         "cell_dir": str(_cell_dir(out_dir, index, params)),
         "out_dir": str(out_dir),
         "checkpoint_every": checkpoint_every,
-        "interrupt_after_updates": None,  # legacy hook rides the fault plan
         "fault_plan": fault_plan.to_dict() if fault_plan is not None else None,
         "max_attempts": max_attempts,
         "retry_backoff": retry_backoff,
@@ -542,14 +550,12 @@ def _record_campaign_in_catalog(catalog_file: Optional[Path], out_dir: Path,
             manifest_version=MANIFEST_VERSION)
         for index in sorted(outcomes):
             outcome = outcomes[index]
-            attempts = outcome.get("attempt")
-            if attempts is None:
-                attempts = _prior_attempts(_cell_dir(out_dir, index,
-                                                     cells[index]))
+            # A cached cell carries no attempt: the catalogue keeps the count
+            # recorded when the cell actually ran.
             catalog.record_cell(
                 out_dir.name, index, cells[index], outcome["status"],
                 row=outcome.get("row"), error=outcome.get("error"),
-                attempts=int(attempts),
+                attempts=outcome.get("attempt"),
                 elapsed_seconds=outcome.get("elapsed_seconds"))
     # Drain the parent process's registry too (cached-cell counters, spans
     # of serially executed cells) — child processes flushed their own.
@@ -577,8 +583,7 @@ def resolve_catalog_file(catalog: Any, out_dir: Path) -> Optional[Path]:
 def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         seed: Optional[int] = None, workers: int = 1,
         out_dir: Optional[os.PathLike] = None, root: os.PathLike = "runs",
-        checkpoint_every: int = 2,
-        interrupt_after_updates: Optional[int] = None, *,
+        checkpoint_every: int = 2, *,
         strict: bool = True, max_attempts: int = 1, retry_backoff: float = 0.25,
         timeout: Optional[float] = None,
         fault_plan: Any = None, catalog: Any = None) -> CampaignResult:
@@ -593,9 +598,8 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         :class:`~repro.experiments.common.ExperimentScale`; defaults to the
         spec's ``default_scale``.
     seed:
-        Campaign seed (defaults to the spec's ``base_seed``).  Every cell
-        derives its training seeds from it exactly like the legacy
-        ``tableN.run(seed=...)`` functions.
+        Campaign seed (defaults to the spec's ``base_seed``); every cell
+        derives its training seeds from it.
     workers:
         Number of processes for cell execution.  ``workers=1`` runs in-process
         (unless ``timeout`` is set, which needs killable workers); results are
@@ -622,9 +626,7 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
     fault_plan:
         A :class:`~repro.runs.faults.FaultPlan` (or its dict/JSON/path form)
         of deterministic faults to inject; also settable through the
-        ``REPRO_RUN_FAULT_PLAN`` env var.  Subsumes the legacy
-        ``interrupt_after_updates`` hook (still accepted, also via
-        ``REPRO_RUN_INTERRUPT_AFTER_UPDATES``).
+        ``REPRO_RUN_FAULT_PLAN`` env var.
     catalog:
         Where to mirror the campaign in the SQLite catalogue
         (:mod:`repro.store`): ``None`` (default) uses
@@ -634,9 +636,7 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
     spec = resolve_experiment(experiment)
     scale = resolve_scale(scale if scale is not None else spec.default_scale)
     seed = spec.base_seed if seed is None else int(seed)
-    if interrupt_after_updates is None and os.environ.get(INTERRUPT_ENV_VAR):
-        interrupt_after_updates = int(os.environ[INTERRUPT_ENV_VAR])
-    plan = resolve_fault_plan(fault_plan, interrupt_after_updates)
+    plan = resolve_fault_plan(fault_plan)
 
     out_dir = (Path(out_dir) if out_dir is not None
                else Path(root) / campaign_id(spec.experiment_id, scale, seed))
@@ -667,10 +667,10 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
     # A corrupt cached result quarantines here and the cell re-runs.
     pending, outcomes = [], {}
     for payload in payloads:
-        cached = _load_cached_row(Path(payload["cell_dir"]) / "result.json")
+        cached = _cached_outcome(payload["index"],
+                                 Path(payload["cell_dir"]) / "result.json")
         if cached is not None:
-            outcomes[payload["index"]] = {"index": payload["index"],
-                                          "row": cached, "status": "cached"}
+            outcomes[payload["index"]] = cached
         else:
             pending.append(payload)
 
@@ -741,68 +741,6 @@ def _raise_on_failures(outcomes: Dict[int, Dict]) -> None:
 
 
 # --------------------------------------------------------------- inspection
-def campaign_status(out_dir: os.PathLike) -> Optional[Dict[str, Any]]:
-    """Status summary for one campaign directory (None if not a campaign)."""
-    out_dir = Path(out_dir)
-    manifest_file = out_dir / "manifest.json"
-    if not manifest_file.exists():
-        return None
-    try:
-        manifest = load_json(manifest_file)
-    except CorruptArtifactError:
-        return None
-    if manifest.get("format") != MANIFEST_FORMAT:
-        return None
-    cells = manifest.get("cells", [])
-    done = in_flight = failed = attempts = 0
-    cell_attempts: Dict[int, int] = {}
-    for cell in cells:
-        cell_dir = out_dir / "cells" / cell["slug"]
-        prior = _prior_attempts(cell_dir)
-        if prior:
-            cell_attempts[cell["index"]] = prior
-            attempts += prior
-        if (cell_dir / "result.json").exists():
-            done += 1
-        elif (cell_dir / "error.json").exists():
-            failed += 1
-        elif any(cell_dir.glob("*.checkpoint.pkl")) or any(cell_dir.glob("*.result.json")):
-            # An in-flight checkpoint, or memoized finished trainings of a
-            # multi-run cell interrupted between trainings.
-            in_flight += 1
-    quarantined = len(quarantined_files(out_dir))
-    return {
-        "campaign": out_dir.name,
-        "out_dir": str(out_dir),
-        "experiment": manifest["experiment"]["experiment_id"],
-        "scale": manifest["scale"]["name"],
-        "seed": manifest["seed"],
-        "cells": len(cells),
-        "completed": done,
-        "in_flight": in_flight,
-        "failed": failed,
-        "attempts": attempts,
-        "cell_attempts": cell_attempts,
-        "quarantined": quarantined,
-        "status": ("complete" if done == len(cells)
-                   else "failed" if failed
-                   else "in-flight" if (done or in_flight) else "pending"),
-    }
-
-
-def list_campaigns(root: os.PathLike = "runs") -> List[Dict[str, Any]]:
-    """Status of every campaign artifact under ``root``."""
-    root = Path(root)
-    if not root.exists():
-        return []
-    statuses = []
-    for child in sorted(root.iterdir()):
-        status = campaign_status(child)
-        if status is not None:
-            statuses.append(status)
-    return statuses
-
-
 def load_rows(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
               seed: Optional[int] = None, root: os.PathLike = "runs",
               out_dir: Optional[os.PathLike] = None) -> List[Dict]:
@@ -818,7 +756,7 @@ def load_rows(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
     manifest = load_json(manifest_file)
     rows = []
     for cell in manifest.get("cells", []):
-        row = _load_cached_row(out_dir / "cells" / cell["slug"] / "result.json")
-        if row is not None:
-            rows.append(row)
+        payload = _load_result(out_dir / "cells" / cell["slug"] / "result.json")
+        if payload is not None:
+            rows.append(payload["row"])
     return rows

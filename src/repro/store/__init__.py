@@ -5,8 +5,8 @@ multi-tenant, queryable system (ROADMAP open item 3):
 
 * a **single-file SQLite catalogue** (``catalog.sqlite``, WAL mode) of
   runs, cells, metric rows, bench rows, and provenance, populated
-  transactionally by the runner alongside the artifact tree and
-  backfillable via ``repro store ingest``;
+  transactionally by the runner alongside the artifact tree (bench rows
+  also via ``repro store ingest --bench``);
 * a **cooperative job queue** with worker leases (heartbeat + TTL), so N
   independent ``repro work`` processes drain one campaign with rows
   bit-identical to serial execution and crashed workers' cells are
@@ -29,7 +29,6 @@ imports cycle-free.
 
 from repro.store.catalog import Catalog, catalog_path, code_version, spec_hash
 from repro.store.client import (
-    ChaosTransport,
     FatalRequestError,
     RetryableTransportError,
     StoreClient,
@@ -49,7 +48,6 @@ from repro.store.schema import SCHEMA_VERSION, ensure_schema
 __all__ = [
     "CATALOG_NAME",
     "Catalog",
-    "ChaosTransport",
     "FatalRequestError",
     "Job",
     "JobQueue",

@@ -15,9 +15,9 @@ HTTP server, and the CLI share:
 
 The catalogue is a *second durable backend*, not a replacement: the artifact
 tree under ``runs/<id>/`` stays the source of truth for resume (checkpoints,
-memos, quarantine), while the catalogue is the queryable index across runs.
-Both are populated by the same code paths, and ``repro store ingest``
-backfills the catalogue from any legacy tree.
+memos, quarantine), while the catalogue is the queryable index across runs
+and the only source of ``repro status``.  Both are populated by the same
+code paths.
 """
 
 from __future__ import annotations
@@ -125,8 +125,7 @@ class Catalog:
                         cells: Sequence[Mapping[str, Any]],
                         slugs: Sequence[str],
                         fault_plan: Optional[Mapping[str, Any]] = None,
-                        manifest_version: int = 1,
-                        ingested_from: Optional[str] = None) -> None:
+                        manifest_version: int = 1) -> None:
         """Register (or re-register, idempotently) one campaign.
 
         ``spec`` is an :class:`~repro.runs.spec.ExperimentSpec` (anything
@@ -146,11 +145,10 @@ class Catalog:
                  str(out_dir), spec_json, len(cells), now, now))
             self.conn.execute(
                 "INSERT OR REPLACE INTO provenance (run_id, code_version,"
-                " spec_hash, seed, fault_plan_hash, manifest_version,"
-                " ingested_from) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                " spec_hash, seed, fault_plan_hash, manifest_version)"
+                " VALUES (?, ?, ?, ?, ?, ?)",
                 (run_id, code_version(), spec_hash(spec_json), int(seed),
-                 fault_plan_hash(fault_plan), int(manifest_version),
-                 ingested_from))
+                 fault_plan_hash(fault_plan), int(manifest_version)))
             self.conn.executemany(
                 "INSERT OR IGNORE INTO cells (run_id, cell_index, slug,"
                 " params_json, status) VALUES (?, ?, ?, ?, 'pending')",
@@ -162,19 +160,23 @@ class Catalog:
                     params: Mapping[str, Any], status: str,
                     row: Optional[Mapping[str, Any]] = None,
                     error: Optional[str] = None,
-                    attempts: int = 0,
+                    attempts: Optional[int] = 0,
                     elapsed_seconds: Optional[float] = None) -> None:
-        """Land one cell outcome + its metric rows in a single transaction."""
+        """Land one cell outcome + its metric rows in a single transaction.
+
+        ``attempts=None`` keeps the recorded count (a cell served from its
+        cached result did not run again).
+        """
         cell_status = "completed" if status in FINISHED_STATUSES else status
         row_json = dump_json(row) if row is not None else None
         now = self.conn.now()
         with self.conn.transaction():
             self.conn.execute(
-                "UPDATE cells SET status = ?, attempts = ?,"
+                "UPDATE cells SET status = ?, attempts = COALESCE(?, attempts),"
                 " elapsed_seconds = ?, row_json = ?, error = ?,"
                 " recorded_unix = ? WHERE run_id = ? AND cell_index = ?",
-                (cell_status, int(attempts), elapsed_seconds, row_json,
-                 error, now, run_id, int(index)))
+                (cell_status, None if attempts is None else int(attempts),
+                 elapsed_seconds, row_json, error, now, run_id, int(index)))
             self.conn.execute(
                 "DELETE FROM metrics WHERE run_id = ? AND cell_index = ?",
                 (run_id, int(index)))
@@ -187,19 +189,22 @@ class Catalog:
         self.refresh_run_status(run_id)
 
     def refresh_run_status(self, run_id: str) -> str:
-        """Derive + store the run's coarse status from its cell statuses."""
+        """Derive + store the run's coarse status from its cell statuses.
+
+        An ``interrupted`` cell was killed mid-run and resumes from its
+        checkpoint, so it makes the run ``in-flight``, not ``failed``.
+        """
         counts = {r["status"]: r["n"] for r in self.conn.fetchall(
             "SELECT status, COUNT(*) AS n FROM cells WHERE run_id = ?"
             " GROUP BY status", (run_id,))}
         total = sum(counts.values())
         done = counts.get("completed", 0)
-        bad = sum(n for s, n in counts.items()
-                  if s in ("failed", "timeout", "interrupted"))
+        bad = counts.get("failed", 0) + counts.get("timeout", 0)
         if total and done == total:
             status = "complete"
         elif bad:
             status = "failed"
-        elif done:
+        elif done or counts.get("interrupted", 0):
             status = "in-flight"
         else:
             status = "pending"
@@ -248,7 +253,7 @@ class Catalog:
             " r.cells, r.status,"
             " SUM(CASE WHEN c.status = 'completed' THEN 1 ELSE 0 END)"
             "   AS completed,"
-            " SUM(CASE WHEN c.status IN ('failed','timeout','interrupted')"
+            " SUM(CASE WHEN c.status IN ('failed','timeout')"
             "   THEN 1 ELSE 0 END) AS failed,"
             " COALESCE(SUM(c.attempts), 0) AS attempts"
             " FROM runs r LEFT JOIN cells c ON c.run_id = r.run_id"

@@ -1,12 +1,10 @@
 """``repro proxy`` — a deterministic TCP chaos proxy for the lease protocol.
 
-The in-process :class:`~repro.store.client.ChaosTransport` perturbs requests
-before they reach a socket; this module is the other half of the network
-chaos harness — a real TCP intermediary that exercises the full stack
-(kernel sockets, HTTP framing, the server's threaded handler pool).  Point a
-``repro work --server`` worker at the proxy and the proxy forwards each
-request to the upstream ``repro serve``, injecting faults from the same
-:class:`~repro.runs.faults.NetworkChaosPlan` vocabulary:
+This module is the network chaos harness — a real TCP intermediary that
+exercises the full stack (kernel sockets, HTTP framing, the server's
+threaded handler pool).  Point a ``repro work --server`` worker at the
+proxy and the proxy forwards each request to the upstream ``repro serve``,
+injecting the faults of a :class:`~repro.runs.faults.NetworkChaosPlan`:
 
 ``reset``
     close the client connection with an RST (``SO_LINGER`` zero) before

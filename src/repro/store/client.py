@@ -22,9 +22,8 @@ this is where the reliability contract lives:
   exactly-once: a retried ``complete`` whose first response was lost
   replays the recorded response instead of double-applying.
 
-:class:`ChaosTransport` wraps any transport with a deterministic
-:class:`~repro.runs.faults.NetworkChaosPlan` — the in-process half of the
-network chaos harness (the TCP half is :mod:`repro.store.chaos`).
+Network faults are injected outside the process, by the TCP proxy in
+:mod:`repro.store.chaos`.
 """
 
 from __future__ import annotations
@@ -38,11 +37,9 @@ import time
 import urllib.error
 import urllib.request
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
-from urllib.parse import urlsplit
 
 from repro import telemetry
 from repro.rl.stats import dump_json
-from repro.runs.faults import NetworkChaosPlan
 
 #: Per-attempt socket deadline (seconds) unless the caller overrides it.
 DEFAULT_TIMEOUT_SECONDS = 30.0
@@ -128,64 +125,6 @@ class UrllibTransport:
             # A non-2xx response with a body is still a response; the
             # client classifies it by status.
             return error.code, error.read()
-
-
-class ChaosTransport:
-    """Deterministic fault injection between the client and its transport.
-
-    Each fault of the plan keeps its own counter of requests matching its
-    ``op`` filter and fires when that counter reaches ``at_request`` — the
-    same plan always perturbs the same protocol steps, independent of
-    timing.  Fired faults are recorded in :attr:`fired` for tests.
-    """
-
-    def __init__(self, inner: Transport, plan: NetworkChaosPlan,
-                 sleep: Callable[[float], None] = time.sleep):
-        self.inner = inner
-        self.plan = plan
-        self.fired: List[Dict[str, Any]] = []
-        self._sleep = sleep
-        self._seen = [0] * len(plan.faults)
-        self._lock = threading.Lock()
-
-    def _matching(self, path: str) -> List[Any]:
-        matched = []
-        with self._lock:
-            for index, fault in enumerate(self.plan.faults):
-                if fault.op is not None and fault.op not in path:
-                    continue
-                if self._seen[index] == fault.at_request:
-                    matched.append(fault)
-                self._seen[index] += 1
-        return matched
-
-    def __call__(self, method: str, url: str, body: Optional[bytes],
-                 headers: Mapping[str, str], timeout: float) -> Tuple[int, bytes]:
-        path = urlsplit(url).path
-        faults = self._matching(path)
-        for fault in faults:
-            self.fired.append({"kind": fault.kind, "path": path})
-            telemetry.counter("client.chaos.fired").inc()
-            if fault.kind == "reset":
-                raise ConnectionResetError(
-                    f"chaos: injected connection reset on {path}")
-            if fault.kind == "http-500":
-                return 500, b'{"error": "chaos: injected server error"}'
-            if fault.kind == "stall":
-                self._sleep(fault.delay_seconds)
-        status, payload = self.inner(method, url, body, headers, timeout)
-        for fault in faults:
-            if fault.kind == "duplicate":
-                # Deliver the identical request a second time — the server's
-                # idempotency dedup must make this a no-op replay.
-                status, payload = self.inner(method, url, body, headers,
-                                             timeout)
-            elif fault.kind == "drop-response":
-                # The mutation was applied but the response never arrives:
-                # the client must retry with the same idempotency key.
-                raise ConnectionResetError(
-                    f"chaos: response dropped after delivering {path}")
-        return status, payload
 
 
 class StoreClient:
@@ -480,7 +419,6 @@ class StoreClient:
 
 __all__ = [
     "BACKOFF_CAP_SECONDS",
-    "ChaosTransport",
     "DEFAULT_BACKOFF_SECONDS",
     "DEFAULT_MAX_RETRIES",
     "DEFAULT_TIMEOUT_SECONDS",

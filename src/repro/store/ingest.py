@@ -1,20 +1,11 @@
-"""Backfill the catalogue from legacy artifacts: runs trees + BENCH files.
+"""Load benchmark trajectories into the catalogue's ``bench`` table.
 
-``repro store ingest`` makes the catalogue complete for repositories (and
-CI artifact downloads) that predate it:
-
-* **runs trees** — every ``runs/<id>/`` directory with a campaign manifest
-  is registered with provenance (spec hash from the manifest; the ingest is
-  marked as such), and each cell is recorded from its artifacts:
-  ``result.json`` becomes a completed row (+ metrics), ``error.json`` a
-  failed/timed-out cell with its cumulative attempt count, anything else
-  stays pending.  Re-ingesting is idempotent — recording upserts;
-* **bench files** — ``BENCH_throughput.json`` / ``BENCH_train.json``
-  entries flatten into the ``bench`` table (one row per numeric metric,
-  tagged with scenario/variant/num_envs/dtype), so ``repro query --bench``
-  covers the perf trajectory.  Rows from the same source file are replaced
-  on re-ingest; live benchmark emissions (``--catalog`` on the bench
-  scripts) append via :func:`record_bench_entry` instead.
+``repro store ingest --bench`` flattens ``BENCH_throughput.json`` /
+``BENCH_train.json`` entries into the ``bench`` table (one row per numeric
+metric, tagged with scenario/variant/num_envs/dtype), so ``repro query
+--bench`` covers the perf trajectory.  Rows from the same source file are
+replaced on re-ingest; live benchmark emissions (``--catalog`` on the bench
+scripts) append via :func:`record_bench_entry` instead.
 """
 
 from __future__ import annotations
@@ -24,77 +15,10 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from repro.runs.artifacts import CorruptArtifactError, load_json
-from repro.runs.spec import ExperimentSpec
 from repro.store.catalog import Catalog, catalog_path
 
 #: result-row keys that are dimensions, not metrics, in a bench entry.
 _BENCH_DIMENSIONS = ("workload", "mode", "num_envs", "dtype", "scenario")
-
-
-# ---------------------------------------------------------------- runs trees
-def ingest_runs_tree(catalog: Catalog, root: Path) -> Dict[str, int]:
-    """Register every campaign directory under ``root`` in the catalogue."""
-    root = Path(root)
-    runs = cells = 0
-    if not root.exists():
-        return {"runs": 0, "cells": 0}
-    for child in sorted(root.iterdir()):
-        if not (child / "manifest.json").exists():
-            continue
-        try:
-            count = _ingest_campaign(catalog, child)
-        except CorruptArtifactError:
-            continue  # quarantined by the loader; skip the damaged campaign
-        runs += 1
-        cells += count
-    return {"runs": runs, "cells": cells}
-
-
-def _ingest_campaign(catalog: Catalog, out_dir: Path) -> int:
-    manifest = load_json(out_dir / "manifest.json")
-    spec = ExperimentSpec.from_dict(manifest["experiment"])
-    cell_entries = manifest.get("cells", [])
-    catalog.record_campaign(
-        out_dir.name, spec, manifest["scale"]["name"], manifest["seed"],
-        out_dir, [entry["params"] for entry in cell_entries],
-        slugs=[entry["slug"] for entry in cell_entries],
-        manifest_version=manifest.get("version", 1),
-        ingested_from=str(out_dir))
-    recorded = 0
-    for entry in cell_entries:
-        cell_dir = out_dir / "cells" / entry["slug"]
-        outcome = _cell_outcome(cell_dir)
-        if outcome is None:
-            continue
-        catalog.record_cell(out_dir.name, entry["index"], entry["params"],
-                            **outcome)
-        recorded += 1
-    return recorded
-
-
-def _cell_outcome(cell_dir: Path) -> Optional[Dict[str, Any]]:
-    """A cell's recorded outcome from its artifacts (None while pending)."""
-    result_file = cell_dir / "result.json"
-    if result_file.exists():
-        try:
-            payload = load_json(result_file)
-        except CorruptArtifactError:
-            return None
-        if isinstance(payload, dict) and payload.get("row") is not None:
-            return {"status": "completed", "row": payload["row"],
-                    "elapsed_seconds": payload.get("elapsed_seconds")}
-    error_file = cell_dir / "error.json"
-    if error_file.exists():
-        try:
-            record = load_json(error_file)
-        except CorruptArtifactError:
-            return None
-        return {"status": record.get("status", "failed"),
-                "error": record.get("error"),
-                "attempts": int(record.get("attempt", 0) or 0),
-                "elapsed_seconds": record.get("elapsed_seconds")}
-    return None
 
 
 # --------------------------------------------------------------- bench files
@@ -170,22 +94,17 @@ def _flatten_bench_entry(entry: Mapping[str, Any], source: str) -> List[tuple]:
 def ingest(root: os.PathLike = "runs",
            bench_files: Sequence[os.PathLike] = (),
            catalog_file: Optional[os.PathLike] = None) -> Dict[str, Any]:
-    """Backfill one catalogue from a runs root and optional BENCH files."""
+    """Ingest BENCH files into the catalogue of ``root`` (or ``catalog_file``)."""
     path = (Path(catalog_file) if catalog_file is not None
             else catalog_path(Path(root)))
     with Catalog(path) as catalog:
-        summary = ingest_runs_tree(catalog, Path(root))
-        bench_rows = 0
-        for bench in bench_files:
-            bench_rows += ingest_bench_file(catalog, Path(bench))
-        summary["bench_rows"] = bench_rows
-        summary["catalog"] = str(path)
-    return summary
+        bench_rows = sum(ingest_bench_file(catalog, Path(bench))
+                         for bench in bench_files)
+    return {"bench_rows": bench_rows, "catalog": str(path)}
 
 
 __all__ = [
     "ingest",
     "ingest_bench_file",
-    "ingest_runs_tree",
     "record_bench_entry",
 ]

@@ -42,6 +42,15 @@ DEFAULT_JOB_ATTEMPTS = 3
 DEFAULT_LEASE_TTL = 60
 
 
+def released_status(status: str, state: str) -> str:
+    """The cell status to record for a job released with ``status``.
+
+    An ``interrupted`` cell normally resumes, but one the queue just retired
+    (``state == "failed"``) will never be claimed again, so it is failed.
+    """
+    return "failed" if state == "failed" and status == "interrupted" else status
+
+
 @dataclass(frozen=True)
 class Job:
     """One claimed queue job: the cell payload plus lease bookkeeping."""

@@ -11,7 +11,7 @@ service knows:
     What produced a run: code version (git commit when available), the
     SHA-256 of the spec JSON, the campaign seed, and the fault-plan hash (if
     chaos was injected) — enough to detect "same campaign id, different
-    code/spec" across ingests.
+    code/spec" across re-runs.
 ``cells``
     One row per campaign cell: params, status, cumulative attempt count,
     elapsed seconds, and the finished row JSON (the same bytes that live in

@@ -92,6 +92,7 @@ from repro.store.queue import (
     DEFAULT_LEASE_TTL,
     Job,
     JobQueue,
+    released_status,
 )
 
 DEFAULT_PORT = 8642
@@ -439,7 +440,8 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             catalog.record_cell(
                 job.run_id, job.cell_index,
                 body.get("params") or job.payload.get("params", {}),
-                str(body.get("status", "failed")), error=body.get("error"),
+                released_status(str(body.get("status", "failed")), state),
+                error=body.get("error"),
                 attempts=int(body.get("attempts", job.attempts)))
             return {"state": state, "run_id": job.run_id,
                     "cell_index": job.cell_index}

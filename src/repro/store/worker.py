@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Mapping, Optional
 from repro import telemetry
 from repro.experiments.common import ScaleLike, resolve_scale
 from repro.runs.artifacts import atomic_write_json, load_json
-from repro.runs.faults import resolve_fault_plan, resolve_network_chaos_plan
+from repro.runs.faults import resolve_fault_plan
 from repro.runs.registry import ExperimentLike, resolve_experiment
 from repro.runs.runner import (
     _attempt_cell,
@@ -64,7 +64,6 @@ from repro.store.client import (
     DEFAULT_BACKOFF_SECONDS,
     DEFAULT_MAX_RETRIES,
     DEFAULT_TIMEOUT_SECONDS,
-    ChaosTransport,
     FatalRequestError,
     RetryableTransportError,
     StoreClient,
@@ -74,6 +73,7 @@ from repro.store.queue import (
     DEFAULT_LEASE_TTL,
     Job,
     JobQueue,
+    released_status,
 )
 
 
@@ -252,11 +252,9 @@ class _Heartbeat:
 class _RemoteHeartbeat:
     """Background lease renewal over HTTP (remote backend).
 
-    Uses a dedicated **chaos-free** client: heartbeats fire on a timer, so
-    letting them consume chaos request indices would make the drain
-    protocol's fault schedule nondeterministic.  A transport error here is
-    tolerated (the lease may lapse and be reclaimed — exactly the semantics
-    a dead network should have); a fatal protocol error stops the thread.
+    A transport error here is tolerated (the lease may lapse and be
+    reclaimed — exactly the semantics a dead network should have); a fatal
+    protocol error stops the thread.
     """
 
     def __init__(self, client: StoreClient, job: Job, lease_ttl: int):
@@ -309,17 +307,17 @@ def _finalize_run(catalog: Catalog, out_dir: Path) -> None:
     workers may race here; the content is deterministic and the write
     atomic, so the race is harmless.
     """
-    from repro.runs.runner import _load_cached_row
+    from repro.runs.runner import _load_result
 
     manifest = load_json(out_dir / "manifest.json")
-    rows = [_load_cached_row(out_dir / "cells" / cell["slug"] / "result.json")
-            for cell in manifest["cells"]]
-    if any(row is None for row in rows):
+    results = [_load_result(out_dir / "cells" / cell["slug"] / "result.json")
+               for cell in manifest["cells"]]
+    if any(result is None for result in results):
         return
     atomic_write_json(out_dir / "results.json", {
         "experiment": manifest["experiment"]["experiment_id"],
         "scale": manifest["scale"]["name"], "seed": manifest["seed"],
-        "rows": rows,
+        "rows": [result["row"] for result in results],
     }, indent=2)
 
 
@@ -355,8 +353,8 @@ class _LocalBackend:
                 attempts: int) -> str:
         state = self.queue.release(job, self.worker_id, error=error)
         self.catalog.record_cell(job.run_id, job.cell_index,
-                                 job.payload["params"], status, error=error,
-                                 attempts=attempts)
+                                 job.payload["params"], released_status(status, state),
+                                 error=error, attempts=attempts)
         return state
 
     def outstanding(self, run_id: Optional[str]) -> int:
@@ -383,24 +381,14 @@ class _RemoteBackend:
 
     def __init__(self, server: str, worker_id: str, local_root: Path,
                  max_job_attempts: int, timeout: float, retries: int,
-                 backoff: float, chaos_plan: Any = None):
+                 backoff: float):
         self.worker_id = worker_id
         self.local_root = Path(local_root)
         self.max_job_attempts = int(max_job_attempts)
-        seed = zlib.crc32(worker_id.encode("utf-8"))
         self.client = StoreClient(server, worker_id=worker_id,
                                   timeout=timeout, max_retries=retries,
-                                  backoff=backoff, retry_seed=seed)
-        if chaos_plan is not None and chaos_plan.faults:
-            self.client.transport = ChaosTransport(self.client.transport,
-                                                   chaos_plan)
-        # Heartbeats go through their own chaos-free client so their
-        # timer-driven requests never consume chaos request indices.
-        self.heartbeat_client = StoreClient(server, worker_id=worker_id,
-                                            timeout=timeout,
-                                            max_retries=retries,
-                                            backoff=backoff,
-                                            retry_seed=seed ^ 0xBEEF)
+                                  backoff=backoff,
+                                  retry_seed=zlib.crc32(worker_id.encode("utf-8")))
 
     def claim(self, run_id: Optional[str], lease_ttl: int) -> Optional[Job]:
         record = self.client.claim(run_id=run_id, lease_ttl=lease_ttl,
@@ -414,7 +402,7 @@ class _RemoteBackend:
                    reclaimed_from=record.get("reclaimed_from"))
 
     def heartbeat_channel(self, job: Job, lease_ttl: int) -> Any:
-        return _RemoteHeartbeat(self.heartbeat_client, job, lease_ttl)
+        return _RemoteHeartbeat(self.client, job, lease_ttl)
 
     def localize(self, job: Job) -> Dict[str, Any]:
         """Remap the payload's artifact paths onto this worker's host."""
@@ -448,10 +436,7 @@ class _RemoteBackend:
         pass  # the server materializes results.json from catalogue rows
 
     def telemetry_sink(self, worker_id: str) -> Any:
-        # Telemetry reports ride the chaos-free heartbeat client: flushes
-        # fire on a timer, so letting them consume chaos request indices
-        # would make the drain protocol's fault schedule nondeterministic.
-        return telemetry.ClientSink(self.heartbeat_client, worker=worker_id)
+        return telemetry.ClientSink(self.client, worker=worker_id)
 
     def close(self) -> None:
         pass
@@ -468,16 +453,12 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
          local_root: Optional[os.PathLike] = None,
          client_timeout: float = DEFAULT_TIMEOUT_SECONDS,
          client_retries: int = DEFAULT_MAX_RETRIES,
-         client_backoff: float = DEFAULT_BACKOFF_SECONDS,
-         chaos_plan: Any = None) -> WorkerSummary:
+         client_backoff: float = DEFAULT_BACKOFF_SECONDS) -> WorkerSummary:
     """Drain the queue (optionally one campaign) as one worker.
 
     ``server=None`` drains through the catalogue file at ``root`` /
     ``catalog_file``; ``server="http://host:port"`` drains over HTTP with
-    artifacts under ``local_root`` (default: ``root``).  ``chaos_plan`` (or
-    the ``REPRO_NET_CHAOS_PLAN`` env var) wraps the remote transport in
-    deterministic fault injection — drain-protocol calls only, never
-    heartbeats.
+    artifacts under ``local_root`` (default: ``root``).
     """
     worker_id = worker_id or default_worker_id()
     summary = WorkerSummary(worker_id=worker_id)
@@ -486,8 +467,7 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
             server, worker_id,
             local_root=Path(local_root if local_root is not None else root),
             max_job_attempts=max_job_attempts, timeout=client_timeout,
-            retries=client_retries, backoff=client_backoff,
-            chaos_plan=resolve_network_chaos_plan(chaos_plan))
+            retries=client_retries, backoff=client_backoff)
     else:
         path = (Path(catalog_file) if catalog_file is not None
                 else catalog_path(Path(root)))
@@ -522,18 +502,19 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
                 status = outcome.get("status", "failed")
                 record = {"index": job.cell_index, "run_id": job.run_id,
                           "status": status, "attempts": job.attempts}
-                attempts = outcome.get("attempt", job.attempts)
                 if status in ("completed", "cached"):
+                    # A finished cell counts its queue claims as attempts.
                     if backend.complete(job, status, outcome.get("row"),
-                                        attempts,
-                                        _elapsed_from(Path(payload["cell_dir"]))):
+                                        job.attempts,
+                                        outcome.get("elapsed_seconds")):
                         summary.completed += 1
                         telemetry.counter("worker.cells.completed").inc()
                     # else: the lease was reclaimed while we ran; the new
                     # owner re-executes the (idempotent) cell and records it.
                 else:
-                    new_state = backend.release(job, status,
-                                                outcome.get("error"), attempts)
+                    new_state = backend.release(
+                        job, status, outcome.get("error"),
+                        outcome.get("attempt", job.attempts))
                     if new_state == "failed":
                         summary.failed += 1
                         telemetry.counter("worker.cells.failed").inc()
@@ -565,16 +546,6 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
         flusher.stop()
         backend.close()
     return summary
-
-
-def _elapsed_from(cell_dir: Path) -> Optional[float]:
-    """The cell's recorded wall-clock seconds (from its result.json)."""
-    try:
-        payload = load_json(cell_dir / "result.json")
-    except Exception:
-        return None
-    value = payload.get("elapsed_seconds") if isinstance(payload, dict) else None
-    return float(value) if isinstance(value, (int, float)) else None
 
 
 __all__ = [

@@ -10,6 +10,11 @@ from repro.env.config import EnvConfig
 from repro.env.guessing_game import CacheGuessingGameEnv
 
 
+def pytest_configure(config: pytest.Config) -> None:
+    config.addinivalue_line(
+        "markers", "slow: a long-running end-to-end test (deselect with -m 'not slow')")
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)

@@ -22,6 +22,8 @@ from repro.experiments.table8_fig3 import covert_env_config, make_covert_env_fac
 from repro.experiments.table3 import make_env_factory as table3_factory
 from repro.hardware.machines import get_machine
 
+from campaign_helpers import cell_rows
+
 
 class TestScales:
     def test_presets_are_registered(self):
@@ -56,13 +58,13 @@ class TestScales:
 
 class TestFastDrivers:
     def test_table1_all_attacks_reach_full_accuracy(self):
-        rows = table1_known_attacks.run()
+        rows = cell_rows("table1")
         assert len(rows) == 4
         assert all(row["accuracy"] == 1.0 for row in rows)
         assert table1_known_attacks.format_results(rows)
 
     def test_fig4_shape(self):
-        rows = fig4.run(num_ways=8, message_bits=128)
+        rows = cell_rows("fig4", num_ways=8, message_bits=128)
         by_name = {row["channel"]: row for row in rows}
         assert by_name["stealthy_streamline"]["bypasses_miss_detection"]
         assert not by_name["streamline"]["bypasses_miss_detection"]
@@ -76,7 +78,7 @@ class TestFastDrivers:
         assert all(row["correct"] for row in rows)
 
     def test_table10_matches_paper_shape(self):
-        rows = table10_fig5.run(message_bits=1024)
+        rows = cell_rows("table10", message_bits=1024)
         assert len(rows) == 4
         for row in rows:
             assert row["ss_bit_rate_mbps"] > row["lru_bit_rate_mbps"]
@@ -95,13 +97,13 @@ class TestFastDrivers:
                            for point in points)
 
     def test_search_comparison(self):
-        rows = search_comparison.run("smoke")
+        rows = cell_rows("search")
         analytical = [row for row in rows if row["kind"] == "analytical"]
         assert analytical[0]["brute_force_steps"] < analytical[-1]["brute_force_steps"]
         assert search_comparison.format_results(rows)
 
     def test_table4_textbook_feasibility_for_all_configs(self):
-        rows = table4.run("smoke")
+        rows = cell_rows("table4")
         assert len(rows) == 17
         # Every configuration leaks information to the textbook attack (well
         # above chance); prefetchers and the two-level hierarchy degrade the
@@ -163,7 +165,7 @@ class TestSmokeScaleRLDrivers:
 
     def test_table5_smoke(self):
         from repro.experiments import table5
-        rows = table5.run(SMOKE, policies=("lru",))
+        rows = [table5.run_cell({"policy": "lru"}, SMOKE)]
         assert len(rows) == 1
         assert rows[0]["replacement_policy"] == "lru"
         assert rows[0]["epochs_to_converge"] > 0
@@ -171,13 +173,13 @@ class TestSmokeScaleRLDrivers:
 
     def test_table6_smoke(self):
         from repro.experiments import table6
-        rows = table6.run(SMOKE, step_rewards=(-0.01,))
+        rows = [table6.run_cell({"step_reward": -0.01}, SMOKE)]
         assert len(rows) == 1
         assert 0.0 <= rows[0]["end_accuracy"] <= 1.0
         assert table6.format_results(rows)
 
     def test_table7_smoke(self):
         from repro.experiments import table7
-        rows = table7.run(SMOKE, num_ways=2)
+        rows = cell_rows("table7", num_ways=2)
         assert {row["cache"] for row in rows} == {"PL Cache", "Baseline"}
         assert table7.format_results(rows)

@@ -20,7 +20,6 @@ from repro.runs import (
     ExperimentSpec,
     Fault,
     FaultPlan,
-    campaign_status,
     quarantined_files,
     stray_tmp_files,
 )
@@ -37,12 +36,13 @@ from repro.runs.artifacts import (
 from repro.runs.cli import main as cli_main
 from repro.runs.faults import (
     FAULT_PLAN_ENV_VAR,
-    NET_CHAOS_ENV_VAR,
     NetworkChaosPlan,
     NetworkFault,
     resolve_fault_plan,
     resolve_network_chaos_plan,
 )
+
+from campaign_helpers import catalog_run
 
 
 def chaos_spec(*cells: dict) -> ExperimentSpec:
@@ -144,23 +144,19 @@ class TestFaultPlan:
 
     def test_resolution_precedence(self, tmp_path):
         plan = FaultPlan(faults=(Fault(kind="kill", at_update=4),), seed=1)
-        assert resolve_fault_plan(plan, None, {}) is plan
-        assert resolve_fault_plan(plan.to_dict(), None, {}) == plan
-        assert resolve_fault_plan(plan.to_json(), None, {}) == plan
+        assert resolve_fault_plan(plan, {}) is plan
+        assert resolve_fault_plan(plan.to_dict(), {}) == plan
+        assert resolve_fault_plan(plan.to_json(), {}) == plan
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(plan.to_json())
-        assert resolve_fault_plan(str(plan_file), None, {}) == plan
+        assert resolve_fault_plan(str(plan_file), {}) == plan
         # env var: inline JSON or a file path; the explicit argument wins
         env = {FAULT_PLAN_ENV_VAR: plan.to_json()}
-        assert resolve_fault_plan(None, None, env) == plan
-        assert resolve_fault_plan(None, None, {FAULT_PLAN_ENV_VAR: str(plan_file)}) == plan
+        assert resolve_fault_plan(None, env) == plan
+        assert resolve_fault_plan(None, {FAULT_PLAN_ENV_VAR: str(plan_file)}) == plan
         other = FaultPlan(seed=9)
-        assert resolve_fault_plan(other, None, env) is other
-        # legacy hook becomes a repeating kill plan; loses to both channels
-        legacy = resolve_fault_plan(None, 3, {})
-        assert legacy.faults[0] == Fault(kind="kill", at_update=3, once=False)
-        assert resolve_fault_plan(None, 3, env) == plan
-        assert resolve_fault_plan(None, None, {}) is None
+        assert resolve_fault_plan(other, env) is other
+        assert resolve_fault_plan(None, {}) is None
 
 
 # --------------------------------------------------------------------------
@@ -184,20 +180,13 @@ class TestNetworkChaosPlan:
     def test_resolution_precedence(self, tmp_path):
         plan = NetworkChaosPlan(faults=(
             NetworkFault(kind="duplicate", at_request=2, op="complete"),))
-        assert resolve_network_chaos_plan(plan, {}) is plan
-        assert resolve_network_chaos_plan(plan.to_dict(), {}) == plan
-        assert resolve_network_chaos_plan(plan.to_json(), {}) == plan
+        assert resolve_network_chaos_plan(plan) is plan
+        assert resolve_network_chaos_plan(plan.to_dict()) == plan
+        assert resolve_network_chaos_plan(plan.to_json()) == plan
         plan_file = tmp_path / "net.json"
         plan_file.write_text(plan.to_json())
-        assert resolve_network_chaos_plan(str(plan_file), {}) == plan
-        # env var: inline JSON or a file path; the explicit argument wins
-        env = {NET_CHAOS_ENV_VAR: plan.to_json()}
-        assert resolve_network_chaos_plan(None, env) == plan
-        assert resolve_network_chaos_plan(
-            None, {NET_CHAOS_ENV_VAR: str(plan_file)}) == plan
-        other = NetworkChaosPlan(seed=5)
-        assert resolve_network_chaos_plan(other, env) is other
-        assert resolve_network_chaos_plan(None, {}) is None
+        assert resolve_network_chaos_plan(str(plan_file)) == plan
+        assert resolve_network_chaos_plan(None) is None
 
 
 # --------------------------------------------------------------------------
@@ -218,7 +207,7 @@ class TestChaosTrainingCampaigns:
             Fault(kind="kill", cell=1, artifact="checkpoint", at_update=boundary),))
         with pytest.raises(CampaignInterrupted, match="injected kill"):
             repro.run("table5", scale="smoke", out_dir=tmp_path, fault_plan=plan)
-        assert campaign_status(tmp_path)["status"] in ("in-flight", "pending")
+        assert catalog_run(tmp_path)["status"] == "in-flight"
         # Resume under the SAME plan: the fired marker prevents re-injection.
         resumed = repro.run("table5", scale="smoke", out_dir=tmp_path,
                             fault_plan=plan)
@@ -253,11 +242,14 @@ class TestChaosTrainingCampaigns:
         assert quarantine_log_entries(tmp_path)
         assert_clean_tree(tmp_path)
 
-    def test_legacy_interrupt_hook_still_resumes(self, tmp_path, table5_baseline):
+    def test_kill_any_cell_between_checkpoints_resumes(self, tmp_path,
+                                                       table5_baseline):
+        # Update 3 falls between the regular checkpoints (every 2 updates):
+        # the kill forces a save there, and the resume needs no plan.
+        plan = FaultPlan(faults=(Fault(kind="kill", at_update=3),))
         with pytest.raises(CampaignInterrupted):
-            repro.run("table5", scale="smoke", out_dir=tmp_path,
-                      interrupt_after_updates=3)
-        assert campaign_status(tmp_path)["status"] == "in-flight"
+            repro.run("table5", scale="smoke", out_dir=tmp_path, fault_plan=plan)
+        assert catalog_run(tmp_path)["status"] == "in-flight"
         resumed = repro.run("table5", scale="smoke", out_dir=tmp_path)
         assert dump_json(resumed.rows) == table5_baseline
 
@@ -281,10 +273,24 @@ class TestChaosFastCampaigns:
         plan = FaultPlan(faults=(Fault(kind="kill", cell=0, artifact="result"),))
         with pytest.raises(CampaignInterrupted):
             repro.run("fig4", scale="smoke", out_dir=tmp_path, fault_plan=plan)
+        # The killed cell resumes from its artifacts, so the catalogue calls
+        # the run in-flight, not failed.
+        info = catalog_run(tmp_path)
+        assert info["status"] == "in-flight"
+        assert info["cell_statuses"][0]["status"] == "interrupted"
         resumed = repro.run("fig4", scale="smoke", out_dir=tmp_path,
                             fault_plan=plan)
         assert resumed.cells[0]["status"] == "cached"
         assert_clean_tree(tmp_path)
+        info = catalog_run(tmp_path)
+        assert info["status"] == "complete"
+        cells = info["cell_statuses"]
+        assert [c["status"] for c in cells] == ["completed"] * 3
+        assert all(c["attempts"] == 1 for c in cells), cells
+        for cell in cells:
+            result = json.loads(
+                (tmp_path / "cells" / cell["slug"] / "result.json").read_text())
+            assert cell["elapsed_seconds"] == result["elapsed_seconds"]
 
 
 # --------------------------------------------------------------------------
@@ -315,8 +321,9 @@ class TestFailureIsolation:
         assert partial.errors[0]["index"] == 1
         assert "1 cell(s) failed" in partial.format_results()
         assert not (tmp_path / "results.json").exists()
-        status = campaign_status(tmp_path)
-        assert status["failed"] == 1 and status["status"] == "failed"
+        info = catalog_run(tmp_path)
+        assert info["status"] == "failed"
+        assert [c["status"] for c in info["cell_statuses"]] == ["completed", "failed"]
 
         monkeypatch.setenv("CHAOS_HEAL", "1")
         healed = repro.run(spec, scale="smoke", out_dir=tmp_path, strict=False)
@@ -324,7 +331,7 @@ class TestFailureIsolation:
         assert [c["status"] for c in healed.cells] == ["cached", "completed"]
         assert all(row is not None for row in healed.rows)
         assert (tmp_path / "results.json").exists()
-        assert campaign_status(tmp_path)["status"] == "complete"
+        assert catalog_run(tmp_path)["status"] == "complete"
         assert_clean_tree(tmp_path)
 
     def test_retry_budget_and_cumulative_attempts(self, tmp_path):

@@ -7,16 +7,15 @@ import json
 import pytest
 
 import repro
-from repro.experiments import table1_known_attacks, table5
 from repro.experiments.common import SMOKE, resolve_scale
 from repro.rl.stats import dump_json
 from repro.runs import (
     CampaignInterrupted,
     CellContext,
     ExperimentSpec,
-    campaign_status,
+    Fault,
+    FaultPlan,
     get_experiment,
-    list_campaigns,
     list_experiments,
     load_rows,
     register_experiment,
@@ -24,6 +23,9 @@ from repro.runs import (
 )
 from repro.runs.cli import main as cli_main
 from repro.runs.runner import cell_slug
+from repro.store import Catalog, catalog_path
+
+from campaign_helpers import catalog_run, cell_rows
 
 EXPECTED_EXPERIMENTS = {"table1", "table3", "table4", "table5", "table6", "table7",
                         "table8", "table9", "table10", "fig4", "search"}
@@ -82,8 +84,9 @@ class TestCampaignFastExperiments:
     """Fast, training-free experiments exercise the whole runner cheaply."""
 
     def test_rows_identical_to_legacy_shim(self, tmp_path):
+        # The reference is the plain run_cell loop the tableN.run() shims ran.
         campaign = repro.run("table1", scale="smoke", out_dir=tmp_path / "c")
-        assert dump_json(campaign.rows) == dump_json(table1_known_attacks.run("smoke"))
+        assert dump_json(campaign.rows) == dump_json(cell_rows("table1"))
 
     def test_artifact_layout(self, tmp_path):
         out = tmp_path / "c"
@@ -120,10 +123,12 @@ class TestCampaignFastExperiments:
 
     def test_status_and_load_rows(self, tmp_path):
         campaign = repro.run("table1", scale="smoke", root=tmp_path)
-        status = campaign_status(campaign.out_dir)
-        assert status["status"] == "complete"
-        assert status["completed"] == status["cells"] == 4
-        assert [s["campaign"] for s in list_campaigns(tmp_path)] == ["table1-smoke"]
+        info = catalog_run(campaign.out_dir)
+        assert info["status"] == "complete"
+        assert info["cells"] == 4
+        assert [c["status"] for c in info["cell_statuses"]] == ["completed"] * 4
+        with Catalog(catalog_path(tmp_path)) as catalog:
+            assert [r["run_id"] for r in catalog.list_runs()] == ["table1-smoke"]
         rows = load_rows("table1", scale="smoke", root=tmp_path)
         assert dump_json(rows) == dump_json(campaign.rows)
 
@@ -142,7 +147,7 @@ class TestCampaignTraining:
     """SMOKE-scale RL campaigns: determinism and checkpointed resume."""
 
     def test_table5_serial_parallel_resume_all_identical(self, tmp_path):
-        legacy = table5.run(SMOKE)
+        legacy = cell_rows("table5", SMOKE)
         serial = repro.run("table5", scale="smoke", out_dir=tmp_path / "serial")
         assert dump_json(serial.rows) == dump_json(legacy)
 
@@ -150,12 +155,13 @@ class TestCampaignTraining:
                              out_dir=tmp_path / "parallel")
         assert dump_json(parallel.rows) == dump_json(serial.rows)
 
+        kill = FaultPlan(faults=(Fault(kind="kill", at_update=3),))
         with pytest.raises(CampaignInterrupted):
             repro.run("table5", scale="smoke", out_dir=tmp_path / "resume",
-                      interrupt_after_updates=3)
-        status = campaign_status(tmp_path / "resume")
-        assert status["status"] == "in-flight"
-        assert status["in_flight"] >= 1
+                      fault_plan=kill)
+        info = catalog_run(tmp_path / "resume")
+        assert info["status"] == "in-flight"
+        assert "interrupted" in [c["status"] for c in info["cell_statuses"]]
         resumed = repro.run("table5", scale="smoke", out_dir=tmp_path / "resume")
         assert dump_json(resumed.rows) == dump_json(serial.rows)
 
@@ -192,18 +198,6 @@ class TestCellContext:
         with pytest.raises(ValueError, match="different parameters"):
             train_agent("guessing/quickstart", BENCH, seed=1, ctx=ctx)
 
-    def test_status_counts_memoized_partial_cells_as_in_flight(self, tmp_path):
-        out = tmp_path / "c"
-        repro.run("table10", scale="smoke", out_dir=out)
-        # Simulate a multi-run cell interrupted *between* trainings: the cell
-        # has memoized training results but neither a checkpoint nor its row.
-        cell_dir = next((out / "cells").iterdir())
-        (cell_dir / "result.json").unlink()
-        (cell_dir / "run0.result.json").write_text("{}")
-        status = campaign_status(out)
-        assert status["in_flight"] == 1
-        assert status["status"] == "in-flight"
-
 
 class TestCLI:
     def test_list(self, capsys):
@@ -225,7 +219,7 @@ class TestCLI:
         assert cli_main(["results", "table1", "--scale", "smoke", "--root", root,
                          "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        assert dump_json(rows) == dump_json(table1_known_attacks.run("smoke"))
+        assert dump_json(rows) == dump_json(cell_rows("table1"))
 
         assert cli_main(["status", "--root", root]) == 0
         assert "table1-smoke" in capsys.readouterr().out

@@ -24,13 +24,10 @@ import repro
 from repro.rl.stats import dump_json
 from repro.runs import ExperimentSpec, register_experiment, unregister_experiment
 from repro.runs.cli import main as cli_main
+from repro.runs.faults import Fault, FaultPlan
 from repro.store import Catalog, JobQueue, catalog_path, connect, spec_hash
 from repro.store.catalog import code_version
-from repro.store.ingest import (
-    ingest,
-    ingest_bench_file,
-    record_bench_entry,
-)
+from repro.store.ingest import ingest_bench_file, record_bench_entry
 from repro.store.query import aggregate_bench, aggregate_metric, format_rows
 from repro.store.queue import Job
 from repro.store.server import make_server
@@ -124,6 +121,20 @@ class TestCatalog:
             assert info["provenance"]["seed"] == campaign.seed
             rows = catalog.rows("table1-smoke")
         assert dump_json(rows) == dump_json(campaign.rows)
+
+    def test_local_and_queue_runs_record_attempts_and_elapsed(self, tmp_path):
+        repro.run("table1", scale="smoke", root=tmp_path / "local")
+        submit_campaign("table1", scale="smoke", root=tmp_path / "queue")
+        work(root=tmp_path / "queue", worker_id="w1")
+        for root in (tmp_path / "local", tmp_path / "queue"):
+            with Catalog(catalog_path(root)) as catalog:
+                cells = catalog.cell_statuses("table1-smoke")
+            assert len(cells) == 4
+            for cell in cells:
+                result = json.loads((root / "table1-smoke" / "cells" / cell["slug"]
+                                     / "result.json").read_text())
+                assert cell["attempts"] == 1, (root.name, cell)
+                assert cell["elapsed_seconds"] == result["elapsed_seconds"]
 
     def test_catalog_disabled(self, tmp_path):
         root = tmp_path / "runs"
@@ -339,6 +350,20 @@ class TestWorkerDrain:
             events = [e["event"] for e in queue.lease_events("chaos-smoke")]
         assert events == ["claimed", "released", "claimed", "failed"]
 
+    def test_interrupted_cell_past_queue_budget_reads_failed(self, tmp_path):
+        # A killed cell normally resumes (the run is in-flight), but one the
+        # queue retires on its last claim is never claimed again.
+        spec = chaos_spec({"mode": "ok", "name": "a"})
+        root = tmp_path / "runs"
+        plan = FaultPlan(faults=(Fault(kind="kill", cell=0, artifact="result"),))
+        submit_campaign(spec, root=root, fault_plan=plan)
+        summary = work(root=root, worker_id="w1", max_job_attempts=1,
+                       poll_seconds=0.05)
+        assert summary.failed == 1
+        with Catalog(catalog_path(root)) as catalog:
+            assert JobQueue(catalog).counts("chaos-smoke") == {"failed": 1}
+            assert catalog.run_info("chaos-smoke")["status"] == "failed"
+
     def test_submit_is_idempotent(self, tmp_path):
         root = tmp_path / "runs"
         first = submit_campaign("table1", scale="smoke", root=root)
@@ -501,32 +526,6 @@ class TestQuery:
 
 # --------------------------------------------------------------------------
 class TestIngest:
-    def test_backfills_legacy_tree(self, tmp_path):
-        root = tmp_path / "runs"
-        campaign = repro.run("table1", scale="smoke", root=root,
-                             catalog=False)
-        assert not catalog_path(root).exists()
-        summary = ingest(root=root)
-        assert summary["runs"] == 1
-        assert summary["cells"] == len(campaign.rows)
-        with Catalog(catalog_path(root)) as catalog:
-            info = catalog.run_info("table1-smoke")
-            assert info["status"] == "complete"
-            assert info["provenance"]["ingested_from"] == str(campaign.out_dir)
-            assert dump_json(catalog.rows("table1-smoke")) == dump_json(
-                campaign.rows)
-
-    def test_reingest_is_idempotent(self, tmp_path):
-        root = tmp_path / "runs"
-        repro.run("table1", scale="smoke", root=root, catalog=False)
-        ingest(root=root)
-        ingest(root=root)
-        with Catalog(catalog_path(root)) as catalog:
-            assert catalog.conn.scalar("SELECT COUNT(*) FROM runs") == 1
-            assert catalog.conn.scalar(
-                "SELECT COUNT(*) FROM cells WHERE run_id = 'table1-smoke'"
-                " AND status = 'completed'") == 4
-
     def test_bench_file_roundtrip_and_replacement(self, tmp_path):
         bench = tmp_path / "BENCH_t.json"
         bench.write_text(json.dumps({"entries": [{
@@ -743,13 +742,12 @@ class TestServer:
 class TestCLI:
     def test_status_prefers_catalogue(self, tmp_path, capsys):
         root = tmp_path / "runs"
+        assert cli_main(["status", "--root", str(root)]) == 0
+        assert "no catalogue" in capsys.readouterr().out
         repro.run("table1", scale="smoke", root=root)
         assert cli_main(["status", "--root", str(root)]) == 0
         out = capsys.readouterr().out
         assert "table1-smoke" in out and "catalogue" in out
-        assert cli_main(["status", "--root", str(root), "--no-catalog"]) == 0
-        out = capsys.readouterr().out
-        assert "table1-smoke" in out and "catalogue" not in out
 
     def test_query_and_list_keys(self, tmp_path, capsys):
         root = tmp_path / "runs"
@@ -777,9 +775,13 @@ class TestCLI:
 
     def test_store_ingest(self, tmp_path, capsys):
         root = tmp_path / "runs"
-        repro.run("table1", scale="smoke", root=root, catalog=False)
-        assert cli_main(["store", "ingest", "--root", str(root)]) == 0
-        assert "1 run(s)" in capsys.readouterr().out
+        assert cli_main(["store", "ingest", "--root", str(root), "--bench",
+                         str(REPO_ROOT / "BENCH_throughput.json")]) == 0
+        out = capsys.readouterr().out
+        assert "bench row(s)" in out and str(catalog_path(root)) in out
+        with Catalog(catalog_path(root)) as catalog:
+            assert catalog.conn.scalar("SELECT COUNT(*) FROM bench") > 0
+            assert catalog.list_runs() == []
 
     def test_status_watch_reprints_until_interrupted(self, tmp_path,
                                                      capsys, monkeypatch):

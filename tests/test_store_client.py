@@ -1,8 +1,9 @@
 """Tests for the remote-worker transport: StoreClient, chaos, lease HTTP.
 
 Unit tests drive :class:`~repro.store.client.StoreClient` against a fake
-in-memory transport (taxonomy, deterministic backoff, idempotency keys,
-ChaosTransport semantics); the live tests run a real
+in-memory transport (taxonomy, deterministic backoff, idempotency keys) and
+the :class:`~repro.store.chaos.ChaosProxy` fault kinds against a counting
+upstream; the live tests run a real
 :class:`~repro.store.server.CampaignServer` and prove the acceptance
 criterion — a chaos-perturbed multi-worker HTTP drain, including a
 mid-drain server kill + restart, yields rows bit-identical to serial
@@ -15,6 +16,7 @@ import json
 import threading
 import time
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -27,7 +29,6 @@ from repro.store import Catalog, JobQueue, catalog_path
 from repro.store.chaos import ChaosProxy
 from repro.store.client import (
     BACKOFF_CAP_SECONDS,
-    ChaosTransport,
     FatalRequestError,
     RetryableTransportError,
     StoreClient,
@@ -178,49 +179,81 @@ class TestIdempotencyKeys:
             transport.requests[0]["body"])
 
 
-class TestChaosTransport:
-    def _wrapped(self, plan, *script):
-        inner = FakeTransport(*script)
-        chaos = ChaosTransport(inner, plan, sleep=lambda _s: None)
-        return inner, chaos
+class _CountingHandler(BaseHTTPRequestHandler):
+    """Upstream stand-in: records each delivered path, answers ``{}``."""
 
-    def test_reset_fires_before_delivery(self):
-        plan = NetworkChaosPlan(faults=(NetworkFault(kind="reset"),))
-        inner, chaos = self._wrapped(plan, (200, b"{}"))
-        with pytest.raises(ConnectionResetError):
-            chaos("GET", "http://s/api/health", None, {}, 1.0)
-        assert inner.requests == []  # request never reached the wire
+    def _reply(self):
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        self.server.paths.append(self.path)
+        self.send_response(200)
+        self.send_header("Content-Length", "2")
+        self.end_headers()
+        self.wfile.write(b"{}")
 
-    def test_http_500_is_synthetic(self):
-        plan = NetworkChaosPlan(faults=(NetworkFault(kind="http-500"),))
-        inner, chaos = self._wrapped(plan)
-        status, _body = chaos("GET", "http://s/api/health", None, {}, 1.0)
-        assert status == 500
-        assert inner.requests == []
+    do_GET = do_POST = _reply
 
-    def test_drop_response_delivers_then_raises(self):
-        plan = NetworkChaosPlan(faults=(NetworkFault(kind="drop-response"),))
-        inner, chaos = self._wrapped(plan, (200, b"{}"))
-        with pytest.raises(ConnectionResetError):
-            chaos("POST", "http://s/api/jobs/complete", b"{}", {}, 1.0)
-        assert len(inner.requests) == 1  # the mutation WAS applied
+    def log_message(self, *_args):
+        pass
 
-    def test_duplicate_delivers_twice(self):
-        plan = NetworkChaosPlan(faults=(NetworkFault(kind="duplicate"),))
-        inner, chaos = self._wrapped(plan, (200, b"{}"), (200, b"{}"))
-        chaos("POST", "http://s/api/jobs/complete", b"{}", {}, 1.0)
-        assert len(inner.requests) == 2
 
-    def test_op_filter_and_request_index(self):
-        plan = NetworkChaosPlan(faults=(
-            NetworkFault(kind="reset", at_request=1, op="claim"),))
-        inner, chaos = self._wrapped(
-            plan, (200, b"{}"), (200, b"{}"), (200, b"{}"))
-        chaos("POST", "http://s/api/jobs/complete", b"{}", {}, 1.0)  # no match
-        chaos("POST", "http://s/api/jobs/claim", b"{}", {}, 1.0)     # index 0
-        with pytest.raises(ConnectionResetError):
-            chaos("POST", "http://s/api/jobs/claim", b"{}", {}, 1.0)  # index 1
-        assert chaos.fired == [{"kind": "reset", "path": "/api/jobs/claim"}]
+@pytest.fixture
+def chaos_proxy():
+    """``start(*faults)`` -> (delivered paths, proxy, no-retry client)."""
+    started = []
+
+    def start(*faults):
+        upstream = ThreadingHTTPServer(("127.0.0.1", 0), _CountingHandler)
+        upstream.paths = []
+        threading.Thread(target=upstream.serve_forever, daemon=True).start()
+        proxy = ChaosProxy(upstream.server_address[:2],
+                           NetworkChaosPlan(faults=faults)).start()
+        started.append((upstream, proxy))
+        client = StoreClient(f"http://{proxy.address[0]}:{proxy.address[1]}",
+                             timeout=5.0, max_retries=0)
+        return upstream.paths, proxy, client
+
+    yield start
+    for upstream, proxy in started:
+        proxy.stop()
+        upstream.shutdown()
+        upstream.server_close()
+
+
+class TestChaosProxy:
+    def test_reset_fires_before_delivery(self, chaos_proxy):
+        delivered, _proxy, client = chaos_proxy(NetworkFault(kind="reset"))
+        with pytest.raises(RetryableTransportError):
+            client.get("/api/health")
+        assert delivered == []  # request never reached the upstream
+
+    def test_http_500_is_synthetic(self, chaos_proxy):
+        delivered, _proxy, client = chaos_proxy(NetworkFault(kind="http-500"))
+        with pytest.raises(RetryableTransportError) as err:
+            client.get("/api/health")
+        assert err.value.status == 500
+        assert delivered == []
+
+    def test_drop_response_delivers_then_raises(self, chaos_proxy):
+        delivered, _proxy, client = chaos_proxy(
+            NetworkFault(kind="drop-response"))
+        with pytest.raises(RetryableTransportError):
+            client.post("/api/jobs/complete", {})
+        assert delivered == ["/api/jobs/complete"]  # the mutation WAS applied
+
+    def test_duplicate_delivers_twice(self, chaos_proxy):
+        delivered, _proxy, client = chaos_proxy(NetworkFault(kind="duplicate"))
+        assert client.post("/api/jobs/complete", {}) == {}
+        assert delivered == ["/api/jobs/complete"] * 2
+
+    def test_op_filter_and_request_index(self, chaos_proxy):
+        delivered, proxy, client = chaos_proxy(
+            NetworkFault(kind="reset", at_request=1, op="claim"))
+        client.post("/api/jobs/complete", {})  # no match
+        client.post("/api/jobs/claim", {})     # index 0
+        with pytest.raises(RetryableTransportError):
+            client.post("/api/jobs/claim", {})  # index 1
+        assert proxy.fired == [{"kind": "reset", "path": "/api/jobs/claim"}]
+        assert delivered == ["/api/jobs/complete", "/api/jobs/claim"]
 
 
 # --------------------------------------------------------------------------
@@ -280,6 +313,21 @@ class TestLeaseProtocolHTTP:
             events = JobQueue(catalog).lease_events("chaos-smoke")
         completed = [e for e in events if e["event"] == "completed"]
         assert len(completed) == 1
+
+    def test_interrupted_release_past_budget_reads_failed(self, lease_server):
+        root, server, url = lease_server
+        client = StoreClient(url, worker_id="w1", backoff=0.01)
+        states = []
+        for _ in range(3):  # the server's default queue budget
+            job = client.claim(run_id="chaos-smoke")
+            assert job["cell_index"] == 0
+            states.append(client.release(
+                "chaos-smoke", 0, status="interrupted", error="killed",
+                params=job["payload"]["params"],
+                attempts=job["attempts"])["state"])
+        assert states == ["pending", "pending", "failed"]
+        with Catalog(catalog_path(root)) as catalog:
+            assert catalog.run_info("chaos-smoke")["status"] == "failed"
 
     def test_lost_ownership_complete_not_applied(self, lease_server):
         root, server, url = lease_server
@@ -342,12 +390,12 @@ class TestLeaseProtocolHTTP:
 
 
 # --------------------------------------------------------------------------
-def _drain_remote(url, root, name, chaos_plan=None, **kwargs):
+def _drain_remote(url, root, name, **kwargs):
     kwargs.setdefault("client_backoff", 0.05)
     kwargs.setdefault("client_retries", 8)
     kwargs.setdefault("poll_seconds", 0.1)
     return work(root=root, run_id="chaos-smoke", worker_id=name, server=url,
-                chaos_plan=chaos_plan, **kwargs)
+                **kwargs)
 
 
 def _assert_drained_bit_identical(serial_root, server_root, cells):
@@ -375,15 +423,14 @@ class TestRemoteDrain:
         submit_campaign(spec, root=server_root)
         return serial_root, server_root
 
-    def _run_workers(self, url, tmp_path, plans):
+    def _run_workers(self, url, tmp_path, names=("w1", "w2")):
         summaries = {}
 
-        def drain(name, plan):
-            summaries[name] = _drain_remote(url, tmp_path / name, name,
-                                            chaos_plan=plan)
+        def drain(name):
+            summaries[name] = _drain_remote(url, tmp_path / name, name)
 
-        threads = [threading.Thread(target=drain, args=(name, plan))
-                   for name, plan in plans.items()]
+        threads = [threading.Thread(target=drain, args=(name,))
+                   for name in names]
         for thread in threads:
             thread.start()
         for thread in threads:
@@ -391,39 +438,53 @@ class TestRemoteDrain:
         assert all(not t.is_alive() for t in threads)
         return summaries
 
-    def test_two_http_workers_bit_identical_under_chaos(self, tmp_path):
+    @staticmethod
+    def _proxy(port, plan):
+        """A chaos proxy in front of the server on ``port``, and its URL."""
+        proxy = ChaosProxy(("127.0.0.1", port), plan).start()
+        return proxy, f"http://{proxy.address[0]}:{proxy.address[1]}"
+
+    def _chaos_drain(self, tmp_path, plan):
+        """Two workers drain through a proxy running ``plan``; the kinds fired.
+
+        The drain must still be bit-identical to the serial run.
+        """
         serial_root, server_root = self._prepared(tmp_path)
         server = make_server(server_root, port=0)
         threading.Thread(target=server.serve_forever, daemon=True).start()
-        url = f"http://127.0.0.1:{server.server_address[1]}"
-        plan = NetworkChaosPlan(faults=(
+        proxy, url = self._proxy(server.server_address[1], plan)
+        try:
+            summaries = self._run_workers(url, tmp_path)
+        finally:
+            proxy.stop()
+            server.shutdown()
+            server.server_close()
+        assert sum(s.completed for s in summaries.values()) >= self.CELLS
+        _assert_drained_bit_identical(serial_root, server_root, self.CELLS)
+        return {f["kind"] for f in proxy.fired}
+
+    def test_two_http_workers_bit_identical_under_chaos(self, tmp_path):
+        fired = self._chaos_drain(tmp_path, NetworkChaosPlan(faults=(
             NetworkFault(kind="reset", at_request=1, op="claim"),
             NetworkFault(kind="http-500", at_request=2, op="claim"),
             NetworkFault(kind="stall", at_request=3, op="claim",
                          delay_seconds=0.2),
             NetworkFault(kind="drop-response", at_request=0, op="complete"),
             NetworkFault(kind="duplicate", at_request=2, op="complete"),
-        ))
-        try:
-            summaries = self._run_workers(url, tmp_path,
-                                          {"w1": plan, "w2": None})
-        finally:
-            server.shutdown()
-            server.server_close()
-        assert sum(s.completed for s in summaries.values()) >= self.CELLS
-        _assert_drained_bit_identical(serial_root, server_root, self.CELLS)
+        )))
+        assert fired == {
+            "reset", "http-500", "stall", "drop-response", "duplicate"}
 
     def test_mid_drain_server_kill_and_restart(self, tmp_path):
         serial_root, server_root = self._prepared(tmp_path)
         server = make_server(server_root, port=0)
         port = server.server_address[1]
         threading.Thread(target=server.serve_forever, daemon=True).start()
-        url = f"http://127.0.0.1:{port}"
         chaos = NetworkChaosPlan(faults=(
             NetworkFault(kind="reset", at_request=0, op="complete"),))
+        proxy, url = self._proxy(port, chaos)
         workers = threading.Thread(
-            target=lambda: self._run_workers(url, tmp_path,
-                                             {"w1": chaos, "w2": None}))
+            target=lambda: self._run_workers(url, tmp_path))
         workers.start()
         # Kill the server after the first completed cell, then restart it on
         # the same port; the workers' retry budgets ride out the outage.
@@ -446,32 +507,20 @@ class TestRemoteDrain:
             workers.join(timeout=120)
             assert not workers.is_alive()
         finally:
+            proxy.stop()
             restarted.shutdown()
             restarted.server_close()
+        assert [f["kind"] for f in proxy.fired] == ["reset"]
         _assert_drained_bit_identical(serial_root, server_root, self.CELLS)
 
     def test_drain_through_tcp_chaos_proxy(self, tmp_path):
-        serial_root, server_root = self._prepared(tmp_path)
-        server = make_server(server_root, port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        plan = NetworkChaosPlan(faults=(
+        fired = self._chaos_drain(tmp_path, NetworkChaosPlan(faults=(
             NetworkFault(kind="reset", at_request=0, op="claim"),
             NetworkFault(kind="duplicate", at_request=1, op="complete"),
             NetworkFault(kind="drop-response", at_request=2, op="complete"),
             NetworkFault(kind="http-500", at_request=3, op="claim"),
-        ))
-        proxy = ChaosProxy(("127.0.0.1", server.server_address[1]),
-                           plan).start()
-        url = f"http://{proxy.address[0]}:{proxy.address[1]}"
-        try:
-            self._run_workers(url, tmp_path, {"w1": None, "w2": None})
-        finally:
-            proxy.stop()
-            server.shutdown()
-            server.server_close()
-        fired = {f["kind"] for f in proxy.fired}
+        )))
         assert {"reset", "duplicate", "drop-response"} <= fired
-        _assert_drained_bit_identical(serial_root, server_root, self.CELLS)
 
 
 # --------------------------------------------------------------------------
@@ -483,23 +532,3 @@ class TestRemoteWorkCLI:
                          "--client-backoff", "0.01"])
         assert code == 5
         assert "worker gave up" in capsys.readouterr().err
-
-    def test_net_chaos_flag_parses_inline_plan(self, tmp_path):
-        root = tmp_path / "server"
-        submit_campaign(chaos_spec(*ok_cells(2)), root=root)
-        server = make_server(root, port=0)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        url = f"http://127.0.0.1:{server.server_address[1]}"
-        plan = NetworkChaosPlan(faults=(
-            NetworkFault(kind="http-500", at_request=0, op="claim"),))
-        try:
-            code = cli_main(["work", "--root", str(tmp_path / "local"),
-                             "--server", url, "--run-id", "chaos-smoke",
-                             "--client-backoff", "0.01", "--net-chaos",
-                             plan.to_json()])
-        finally:
-            server.shutdown()
-            server.server_close()
-        assert code == 0
-        with Catalog(catalog_path(root)) as catalog:
-            assert JobQueue(catalog).outstanding("chaos-smoke") == 0
