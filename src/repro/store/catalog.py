@@ -100,9 +100,12 @@ def _metric_pairs(params: Mapping[str, Any],
 class Catalog:
     """High-level catalogue operations over one ``catalog.sqlite`` file."""
 
-    def __init__(self, path: Path):
+    def __init__(self, path: Path, conn: Optional[StoreConnection] = None):
+        """Open ``path`` with the schema applied, or wrap ``conn`` as is
+        (a connection to a catalogue whose schema is already checked)."""
         self.path = Path(path)
-        self.conn: StoreConnection = connect(self.path)
+        self.conn: StoreConnection = conn if conn is not None else connect(
+            self.path)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:

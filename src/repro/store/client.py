@@ -281,12 +281,17 @@ class StoreClient:
 
     def release(self, run_id: str, cell_index: int, *, status: str,
                 error: Optional[str], params: Mapping[str, Any],
-                attempts: int) -> Dict[str, Any]:
-        """Give a failed/interrupted job back to the queue (exactly-once)."""
+                attempts: int, max_job_attempts: int = 3) -> Dict[str, Any]:
+        """Give a failed/interrupted job back to the queue (exactly-once).
+
+        ``max_job_attempts`` is the budget the server retires the job
+        against; send the one the claim was made under.
+        """
         return self.post("/api/jobs/release", {
             "worker": self.worker_id, "run_id": run_id,
             "cell_index": int(cell_index), "status": status, "error": error,
             "params": dict(params), "attempts": int(attempts),
+            "max_job_attempts": int(max_job_attempts),
             "idempotency_key": self._next_key("release"),
         })
 

@@ -14,11 +14,16 @@ This is the module the ``artifacts.store-connection`` lint rule anchors on:
   concatenated or interpolated — user-controlled values (experiment ids,
   metric names, worker ids) always travel as bound parameters.
 
-Concurrency model: one catalogue file, many short-lived connections.  WAL
-mode lets readers proceed under a writer; writers serialize through SQLite's
-file lock with ``busy_timeout`` backoff, and multi-statement read-modify-
-write sections (queue claims, cell upserts) run inside ``BEGIN IMMEDIATE``
-transactions via :meth:`StoreConnection.transaction`.
+Concurrency model: one catalogue file, many connections.  CLI commands,
+runners and local workers each open their own short-lived connection;
+``repro serve`` keeps long-lived ones in a small pool and lends each to one
+request thread at a time (see :mod:`repro.store.server`).  WAL mode lets
+readers proceed under a writer; writers serialize through SQLite's file lock
+with ``busy_timeout`` backoff, and multi-statement read-modify-write
+sections (queue claims, cell upserts) run inside ``BEGIN IMMEDIATE``
+transactions via :meth:`StoreConnection.transaction`.  A connection may move
+between threads, but only one thread may use it at a time: the transaction
+depth it tracks is not shared state.
 
 Time discipline: lease bookkeeping needs a wall clock that is comparable
 *across worker processes* — Python's ``time.perf_counter()`` is not, and
@@ -59,19 +64,26 @@ class StoreConnection:
                              ("done", job_rowid))
     """
 
-    def __init__(self, path: Path, timeout_ms: int = BUSY_TIMEOUT_MS):
+    def __init__(self, path: Path, timeout_ms: int = BUSY_TIMEOUT_MS,
+                 cache_kib: Optional[int] = None):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._txn_depth = 0
         # The sole sanctioned sqlite3.connect in the repository (see module
         # docs; the artifacts.store-connection lint rule enforces this).
+        # check_same_thread=False lets a pooled connection serve successive
+        # request threads; callers keep it to one thread at a time.
         self._conn = sqlite3.connect(self.path, timeout=timeout_ms / 1000.0,
-                                     isolation_level=None)
+                                     isolation_level=None,
+                                     check_same_thread=False)
         self._conn.row_factory = sqlite3.Row
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA busy_timeout=%d" % timeout_ms)
         self._conn.execute("PRAGMA foreign_keys=ON")
         self._conn.execute("PRAGMA synchronous=NORMAL")
+        if cache_kib is not None:
+            # A negative cache_size is a budget in KiB rather than in pages.
+            self._conn.execute("PRAGMA cache_size=%d" % -cache_kib)
 
     # ------------------------------------------------------------ execution
     def execute(self, sql: str, params: Sequence[Any] = ()) -> sqlite3.Cursor:
@@ -132,6 +144,11 @@ class StoreConnection:
             raise
         self._txn_depth = 0
         self.execute("COMMIT")
+
+    @property
+    def in_transaction(self) -> bool:
+        """Whether a transaction is open (nothing committed or rolled back)."""
+        return self._conn.in_transaction
 
     # ---------------------------------------------------------------- clock
     def now(self) -> int:

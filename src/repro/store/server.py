@@ -63,9 +63,15 @@ requests, terminates long-poll streams with a ``shutdown`` event within one
 poll interval, and refuses new claims with 503 so workers fail over or back
 off.
 
-Every request opens its own catalogue connection (SQLite connections are
-thread-bound; the handler pool is threaded), so concurrent submits, streams,
-and worker writes coexist under WAL.
+Catalogue connections: the server opens its catalogue once, at start, and
+keeps it open in a :class:`CatalogPool`.  Each request borrows one pooled
+connection for as long as it needs it (a stream borrows per poll), so
+requests skip the connect, pragmas and schema script, and the WAL is not
+checkpointed and deleted every time the last request finishes.  Concurrent
+requests past the idle pool open extra connections that close again on
+return; under WAL they coexist with each other and with local workers.
+``server_close()`` closes the pool after the handler threads are joined, so
+a clean stop leaves no ``catalog.sqlite-wal``/``-shm`` behind.
 """
 
 from __future__ import annotations
@@ -76,17 +82,19 @@ import signal
 import socket
 import threading
 import time
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro import telemetry
 from repro.rl.stats import dump_json
 from repro.runs.artifacts import atomic_write_json
 from repro.store.catalog import Catalog, catalog_path, code_version
+from repro.store.connection import StoreConnection
 from repro.store.query import aggregate_bench, aggregate_metric
-from repro.store.schema import SCHEMA_VERSION
+from repro.store.schema import SCHEMA_VERSION, ensure_schema
 from repro.store.queue import (
     DEFAULT_JOB_ATTEMPTS,
     DEFAULT_LEASE_TTL,
@@ -110,13 +118,76 @@ REQUEST_TIMEOUT_SECONDS = 30.0
 #: Largest accepted request body; anything bigger is answered with 413.
 MAX_BODY_BYTES = 8_000_000
 
+#: Catalogue connections the server keeps open between requests.  One
+#: already spares nearly every per-request open: requests rarely overlap,
+#: and one that finds the pool empty opens its own connection for a while.
+POOL_IDLE_CONNECTIONS = 1
+
+#: Page cache of each pooled connection, in KiB (SQLite's default is 2 MiB).
+#: A long-lived connection keeps its cache full between requests; this
+#: budget holds the hot queue and index pages, while the server's memory
+#: stays where it was with a fresh connection per request.
+POOL_CACHE_KIB = 512
+
+
+class CatalogPool:
+    """Long-lived catalogue connections lent to one request thread at a time.
+
+    The first connection opens (and schema-checks) the catalogue at start.
+    :meth:`borrow` hands out an idle connection, or opens a new one when all
+    are lent out; on return at most :data:`POOL_IDLE_CONNECTIONS` stay open
+    and the rest close.  A connection returned with a transaction still open
+    is closed rather than kept, so no request inherits another's half-done
+    work.
+    """
+
+    def __init__(self, path: Path):
+        self.path = Path(path)
+        self._lock = threading.Lock()
+        first = self._open()
+        ensure_schema(first.conn)
+        self._idle: List[Catalog] = [first]
+        self._closed = False
+
+    def _open(self) -> Catalog:
+        return Catalog(self.path, StoreConnection(self.path,
+                                                  cache_kib=POOL_CACHE_KIB))
+
+    @contextmanager
+    def borrow(self) -> Iterator[Catalog]:
+        with self._lock:
+            catalog = self._idle.pop() if self._idle else None
+        if catalog is None:
+            catalog = self._open()
+        try:
+            yield catalog
+        finally:
+            self._give_back(catalog)
+
+    def _give_back(self, catalog: Catalog) -> None:
+        with self._lock:
+            if not (self._closed or catalog.conn.in_transaction
+                    or len(self._idle) >= POOL_IDLE_CONNECTIONS):
+                self._idle.append(catalog)
+                return
+        catalog.close()
+
+    def close(self) -> None:
+        """Close every idle connection; ones still lent close on return."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for catalog in idle:
+            catalog.close()
+
 
 class CampaignServer(ThreadingHTTPServer):
     """ThreadingHTTPServer bound to one runs root + catalogue file.
 
     Non-daemon handler threads + ``block_on_close`` make ``server_close()``
     *join* in-flight requests — safe because every long-poll observes
-    :attr:`shutdown_event` and exits within one poll interval.
+    :attr:`shutdown_event` and exits within one poll interval.  Handlers
+    reach the catalogue only through ``catalogs.borrow()``.
     """
 
     daemon_threads = False
@@ -129,10 +200,11 @@ class CampaignServer(ThreadingHTTPServer):
         self.shutdown_event = threading.Event()
         self.draining = False
         self.code_version = code_version()
-        # Opening the catalogue here both ensures the schema exists before
-        # the first request and stamps the start time on the catalogue's SQL
+        # Opening the pool here both ensures the schema exists before the
+        # first request and stamps the start time on the catalogue's SQL
         # clock (the wall clock is lint-banned in repro code).
-        with Catalog(self.catalog_file) as catalog:
+        self.catalogs = CatalogPool(self.catalog_file)
+        with self.catalogs.borrow() as catalog:
             self.started_unix = catalog.conn.now()
         self._started_monotonic = time.perf_counter()
         self.telemetry_flusher = telemetry.TelemetryFlusher(
@@ -146,8 +218,9 @@ class CampaignServer(ThreadingHTTPServer):
         return time.perf_counter() - self._started_monotonic
 
     def server_close(self) -> None:
-        super().server_close()
+        super().server_close()  # joins the handler threads
         self.telemetry_flusher.stop()
+        self.catalogs.close()
 
     def shutdown(self) -> None:
         # Wake long-poll streams *before* stopping the accept loop, so the
@@ -185,8 +258,9 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
                 self._json(200, {"experiments": list_experiments()})
             elif parts == ["api", "campaigns"]:
-                with Catalog(self.server.catalog_file) as catalog:
-                    self._json(200, {"campaigns": catalog.list_runs()})
+                with self.server.catalogs.borrow() as catalog:
+                    runs = catalog.list_runs()
+                self._json(200, {"campaigns": runs})
             elif len(parts) == 3 and parts[:2] == ["api", "campaigns"]:
                 self._campaign_detail(parts[2])
             elif len(parts) == 4 and parts[:2] == ["api", "campaigns"] \
@@ -266,7 +340,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         return body
 
     def _health(self) -> None:
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalogs.borrow() as catalog:
             counts = JobQueue(catalog).counts()
         telemetry.gauge("server.queue.depth").set(counts.get("pending", 0))
         telemetry.gauge("server.queue.leased").set(counts.get("leased", 0))
@@ -285,13 +359,13 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
     def _workers(self, query: Dict[str, str]) -> None:
         stale = int(query.get("stale_seconds", 120))
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalogs.borrow() as catalog:
             roster = catalog.worker_roster(stale_seconds=stale)
         self._json(200, {"workers": roster, "stale_seconds": stale})
 
     def _telemetry_read(self, query: Dict[str, str]) -> None:
         limit = int(query.get("limit", 100))
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalogs.borrow() as catalog:
             points = catalog.telemetry_points(
                 name=query.get("name"), worker=query.get("worker"),
                 limit=limit)
@@ -332,15 +406,19 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
     # ----------------------------------------------------- the lease protocol
     def _mutate(self, endpoint: str, body: Dict[str, Any],
-                apply: "Callable[[Catalog], Dict[str, Any]]") -> Dict[str, Any]:
+                apply: "Callable[[Catalog], Dict[str, Any]]",
+                after: "Optional[Callable[[Catalog], None]]" = None) -> None:
         """Run one exactly-once mutation and send its JSON response.
 
         Key lookup, mutation, and response recording share one transaction:
         either the mutation applied *and* its response is replayable, or
-        neither happened.  Returns the response for post-commit follow-ups.
+        neither happened.  ``after`` runs on the same connection once that
+        transaction commits.  The response goes out only after the
+        connection is back in the pool, so the worker's next request finds
+        it there.
         """
         key = body.get("idempotency_key")
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalogs.borrow() as catalog:
             with catalog.conn.transaction():
                 replayed = catalog.idempotent_replay(key)
                 if replayed is not None:
@@ -349,8 +427,9 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                 else:
                     response = apply(catalog)
                     catalog.idempotent_record(key, endpoint, response)
-            self._json(200, response)
-        return response
+            if after is not None:
+                after(catalog)
+        self._json(200, response)
 
     def _job_claim(self) -> None:
         if self.server.draining:
@@ -395,16 +474,15 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         body = self._read_body()
         # Heartbeats are naturally idempotent (each just extends the
         # expiry), so they bypass the key machinery.
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalogs.borrow() as catalog:
             try:
-                job = self._job_from(catalog, body)
+                job: Optional[Job] = self._job_from(catalog, body)
             except ValueError:
-                self._json(200, {"alive": False})
-                return
-            alive = JobQueue(catalog).heartbeat(
+                job = None
+            alive = job is not None and JobQueue(catalog).heartbeat(
                 job, str(body["worker"]),
                 lease_ttl=int(body.get("lease_ttl", DEFAULT_LEASE_TTL)))
-            self._json(200, {"alive": alive})
+        self._json(200, {"alive": alive})
 
     def _job_complete(self) -> None:
         body = self._read_body()
@@ -424,9 +502,10 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             return {"applied": applied, "run_id": job.run_id,
                     "cell_index": job.cell_index}
 
-        self._mutate("complete", body, apply)
-        with Catalog(self.server.catalog_file) as catalog:
+        def finalize(catalog: Catalog) -> None:
             finalize_from_catalog(catalog, str(body["run_id"]))
+
+        self._mutate("complete", body, apply, after=finalize)
 
     def _job_release(self) -> None:
         body = self._read_body()
@@ -450,35 +529,39 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
     def _jobs_overview(self, query: Dict[str, str]) -> None:
         run_id = query.get("run_id")
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalogs.borrow() as catalog:
             queue = JobQueue(catalog)
-            self._json(200, {"run_id": run_id, "counts": queue.counts(run_id),
-                             "outstanding": queue.outstanding(run_id)})
+            counts = queue.counts(run_id)
+            outstanding = queue.outstanding(run_id)
+        self._json(200, {"run_id": run_id, "counts": counts,
+                         "outstanding": outstanding})
 
     # ------------------------------------------------------------- campaigns
     def _campaign_detail(self, run_id: str) -> None:
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalogs.borrow() as catalog:
             info = catalog.run_info(run_id)
-            if info is None:
-                self._json(404, {"error": f"unknown campaign {run_id!r}"})
-                return
-            queue = JobQueue(catalog)
-            info["queue"] = queue.counts(run_id)
-            info["lease_events"] = queue.lease_events(run_id)[-50:]
+            if info is not None:
+                queue = JobQueue(catalog)
+                info["queue"] = queue.counts(run_id)
+                info["lease_events"] = queue.lease_events(run_id)[-50:]
+        if info is None:
+            self._json(404, {"error": f"unknown campaign {run_id!r}"})
+            return
         self._json(200, info)
 
     def _campaign_rows(self, run_id: str) -> None:
-        with Catalog(self.server.catalog_file) as catalog:
-            if not catalog.has_run(run_id):
-                self._json(404, {"error": f"unknown campaign {run_id!r}"})
-                return
-            self._json(200, {"run_id": run_id, "rows": catalog.rows(run_id)})
+        with self.server.catalogs.borrow() as catalog:
+            rows = catalog.rows(run_id) if catalog.has_run(run_id) else None
+        if rows is None:
+            self._json(404, {"error": f"unknown campaign {run_id!r}"})
+            return
+        self._json(200, {"run_id": run_id, "rows": rows})
 
     def _query(self, query: Dict[str, str]) -> None:
         metric = query.get("metric")
         if not metric:
             raise ValueError("query needs a ?metric= parameter")
-        with Catalog(self.server.catalog_file) as catalog:
+        with self.server.catalogs.borrow() as catalog:
             if query.get("bench"):
                 rows = aggregate_bench(catalog, metric,
                                        by=query.get("by", "num_envs"),
@@ -511,7 +594,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         seen: Dict[int, str] = {}
         first = True
         while True:
-            with Catalog(self.server.catalog_file) as catalog:
+            with self.server.catalogs.borrow() as catalog:
                 info = catalog.run_info(run_id)
             if info is None:
                 self._stream_line({"event": "error",

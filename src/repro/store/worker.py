@@ -213,9 +213,9 @@ class _SignalGuard:
 class _Heartbeat:
     """Background lease renewal while a cell executes (local backend).
 
-    Runs on its own catalogue connection (SQLite connections are
-    thread-bound); only touches the lease row, never the cell's computation,
-    so worker results stay deterministic.
+    Runs on its own catalogue connection (a connection serves one thread at
+    a time); only touches the lease row, never the cell's computation, so
+    worker results stay deterministic.
     """
 
     def __init__(self, path: Path, job: Job, worker_id: str, lease_ttl: int):
@@ -426,7 +426,8 @@ class _RemoteBackend:
         response = self.client.release(job.run_id, job.cell_index,
                                        status=status, error=error,
                                        params=job.payload["params"],
-                                       attempts=attempts)
+                                       attempts=attempts,
+                                       max_job_attempts=self.max_job_attempts)
         return str(response.get("state", "pending"))
 
     def outstanding(self, run_id: Optional[str]) -> int:

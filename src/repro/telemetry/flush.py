@@ -6,8 +6,9 @@ at ``stop()``.  Two sinks exist, mirroring the two campaign transports:
 
 * :class:`CatalogSink` — writes directly into ``catalog.sqlite`` via
   ``Catalog.record_telemetry``.  A fresh catalogue connection is opened per
-  flush because SQLite connections are thread-bound and the flusher runs on
-  its own daemon thread.  Used by ``repro serve`` and local runs/workers.
+  flush because a connection serves one thread at a time and the flusher
+  runs on its own daemon thread.  Used by ``repro serve`` and local
+  runs/workers.
 * :class:`ClientSink` — batches through ``StoreClient.post_telemetry``
   (``POST /api/telemetry``).  Used by ``repro work --server`` processes,
   which by contract never touch the catalogue file.

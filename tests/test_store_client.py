@@ -13,6 +13,8 @@ mid-drain server kill + restart, yields rows bit-identical to serial
 from __future__ import annotations
 
 import json
+import sqlite3
+import sys
 import threading
 import time
 import urllib.request
@@ -24,9 +26,10 @@ import pytest
 import repro
 from repro.runs import ExperimentSpec
 from repro.runs.cli import main as cli_main
-from repro.runs.faults import NetworkChaosPlan, NetworkFault
+from repro.runs.faults import Fault, FaultPlan, NetworkChaosPlan, NetworkFault
 from repro.store import Catalog, JobQueue, catalog_path
 from repro.store.chaos import ChaosProxy
+from repro.store.connection import StoreConnection
 from repro.store.client import (
     BACKOFF_CAP_SECONDS,
     FatalRequestError,
@@ -273,6 +276,23 @@ def lease_server(tmp_path):
         server.server_close()
 
 
+@pytest.fixture
+def serving():
+    """Start live servers over runs roots; each is stopped at teardown."""
+    servers = []
+
+    def start(root):
+        server = make_server(root, port=0)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        servers.append(server)
+        return server, f"http://127.0.0.1:{server.server_address[1]}"
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
 class TestLeaseProtocolHTTP:
     def test_claim_heartbeat_complete_roundtrip(self, lease_server):
         root, server, url = lease_server
@@ -327,6 +347,25 @@ class TestLeaseProtocolHTTP:
                 attempts=job["attempts"])["state"])
         assert states == ["pending", "pending", "failed"]
         with Catalog(catalog_path(root)) as catalog:
+            assert catalog.run_info("chaos-smoke")["status"] == "failed"
+
+    def test_release_retires_against_the_workers_budget(self, tmp_path,
+                                                        serving):
+        # With repro work --max-job-attempts 1, the first interrupted release
+        # retires the job; the server's default budget would re-queue it.
+        root = tmp_path / "server"
+        plan = FaultPlan(faults=(Fault(kind="kill", cell=0,
+                                       artifact="result"),))
+        submit_campaign(chaos_spec(*ok_cells(1)), root=root, fault_plan=plan)
+        server, url = serving(root)
+        summary = _drain_remote(url, tmp_path / "w1", "w1",
+                                max_job_attempts=1)
+        assert summary.failed == 1
+        with Catalog(catalog_path(root)) as catalog:
+            queue = JobQueue(catalog)
+            assert queue.counts("chaos-smoke") == {"failed": 1}
+            events = [e["event"] for e in queue.lease_events("chaos-smoke")]
+            assert events == ["claimed", "failed"]
             assert catalog.run_info("chaos-smoke")["status"] == "failed"
 
     def test_lost_ownership_complete_not_applied(self, lease_server):
@@ -390,6 +429,106 @@ class TestLeaseProtocolHTTP:
 
 
 # --------------------------------------------------------------------------
+@pytest.fixture
+def opened_connections(monkeypatch):
+    """Every StoreConnection built from here on, with its building thread."""
+    opened = []
+    init = StoreConnection.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        opened.append((self, threading.current_thread().name))
+
+    monkeypatch.setattr(StoreConnection, "__init__", counting_init)
+    return opened
+
+
+def _claim_concurrently(url, workers):
+    """``workers`` clients claim at the same instant; the jobs they got."""
+    barrier = threading.Barrier(workers)
+    jobs = {}
+
+    def claim(name):
+        client = StoreClient(url, worker_id=name, backoff=0.01)
+        barrier.wait()
+        jobs[name] = client.claim(run_id="chaos-smoke")
+
+    threads = [threading.Thread(target=claim, args=(f"w{i}",))
+               for i in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert all(not t.is_alive() for t in threads)
+    return jobs
+
+
+class TestCatalogPool:
+    def test_requests_reuse_pooled_connections(self, tmp_path, serving,
+                                               opened_connections):
+        root = tmp_path / "server"
+        submit_campaign(chaos_spec(*ok_cells(20)), root=root)
+        server, url = serving(root)
+        client = StoreClient(url, worker_id="w1", backoff=0.01)
+        requests = 0
+        while True:
+            job = client.claim(run_id="chaos-smoke")
+            requests += 1
+            if job is None:
+                break
+            client.complete("chaos-smoke", job["cell_index"],
+                            status="completed", row={"v": 1},
+                            params=job["payload"]["params"], attempts=1)
+            client.get("/api/campaigns/chaos-smoke")
+            requests += 2
+        assert requests >= 50
+        # The telemetry flusher opens its own connection once per flush
+        # interval; every request-path open counts.
+        opened = [conn for conn, thread in opened_connections
+                  if thread != "telemetry-flush"]
+        assert len(opened) <= 3, \
+            f"{len(opened)} catalogue opens for {requests} requests"
+
+    def test_concurrent_claims_get_distinct_jobs(self, tmp_path, serving):
+        root = tmp_path / "server"
+        submit_campaign(chaos_spec(*ok_cells(10)), root=root)
+        server, url = serving(root)
+        # More threads than cores, switching often: a pool that lent one
+        # connection to two threads would lose or duplicate a claim.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            jobs = _claim_concurrently(url, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        cells = sorted(job["cell_index"] for job in jobs.values())
+        assert len(set(cells)) == 8
+        with Catalog(catalog_path(root)) as catalog:
+            queue = JobQueue(catalog)
+            claimed = sorted(e["cell_index"] for e in
+                             queue.lease_events("chaos-smoke")
+                             if e["event"] == "claimed")
+            assert queue.counts("chaos-smoke") == {"leased": 8, "pending": 2}
+        assert claimed == cells
+
+    def test_server_close_closes_pool_and_removes_wal(
+            self, tmp_path, serving, opened_connections):
+        root = tmp_path / "server"
+        submit_campaign(chaos_spec(*ok_cells(10)), root=root)
+        del opened_connections[:]
+        server, url = serving(root)
+        _claim_concurrently(url, 8)
+        StoreClient(url).get("/api/campaigns/chaos-smoke")
+        assert (root / "catalog.sqlite-wal").exists()  # kept open
+        server.shutdown()
+        server.server_close()
+        assert opened_connections
+        for conn, _thread in opened_connections:
+            with pytest.raises(sqlite3.ProgrammingError):
+                conn.execute("SELECT 1")
+        assert not (root / "catalog.sqlite-wal").exists()
+
+
 def _drain_remote(url, root, name, **kwargs):
     kwargs.setdefault("client_backoff", 0.05)
     kwargs.setdefault("client_retries", 8)
