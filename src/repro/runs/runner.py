@@ -48,8 +48,10 @@ independent *cells* (one per table row).  The runner:
   boundaries, tears or bit-flips just-written artifacts, and stalls workers
   past the watchdog;
 
-* **records every outcome in the SQLite catalogue** (:mod:`repro.store`),
-  the source of ``repro status``: cell status, attempt count and elapsed
+* **records the campaign and every outcome in the SQLite catalogue**
+  (:mod:`repro.store`), the source of ``repro status``: the run and its
+  pending cells at set-up (:func:`setup_campaign`, shared with
+  ``repro submit``), then each cell's status, attempt count and elapsed
   seconds.
 """
 
@@ -80,9 +82,6 @@ from repro.runs.spec import ExperimentSpec
 
 MANIFEST_FORMAT = "repro-campaign"
 MANIFEST_VERSION = 1
-
-#: Cell outcome statuses the runner reports.
-CELL_STATUSES = ("completed", "cached", "failed", "timeout", "interrupted")
 
 #: Seconds a terminated worker gets to exit before an uncatchable kill.
 _KILL_GRACE_SECONDS = 2.0
@@ -526,42 +525,6 @@ def cell_payloads(spec: ExperimentSpec, scale: ExperimentScale, seed: int,
     } for index, params in enumerate(cells)]
 
 
-def _record_campaign_in_catalog(catalog_file: Optional[Path], out_dir: Path,
-                                spec: ExperimentSpec, scale: ExperimentScale,
-                                seed: int, cells: List[Dict],
-                                plan: Optional[FaultPlan],
-                                outcomes: Dict[int, Dict]) -> None:
-    """Mirror a campaign's outcomes into the SQLite catalogue.
-
-    The artifact tree already landed (atomically) by the time this runs; the
-    catalogue is the queryable index over it, kept in lock-step by recording
-    every run through here and through the queue workers.
-    """
-    if catalog_file is None:
-        return
-    from repro.store.catalog import Catalog  # late: repro.store imports us
-
-    with Catalog(catalog_file) as catalog:
-        catalog.record_campaign(
-            out_dir.name, spec, scale.name, seed, out_dir, cells,
-            slugs=[cell_slug(index, params)
-                   for index, params in enumerate(cells)],
-            fault_plan=plan.to_dict() if plan is not None else None,
-            manifest_version=MANIFEST_VERSION)
-        for index in sorted(outcomes):
-            outcome = outcomes[index]
-            # A cached cell carries no attempt: the catalogue keeps the count
-            # recorded when the cell actually ran.
-            catalog.record_cell(
-                out_dir.name, index, cells[index], outcome["status"],
-                row=outcome.get("row"), error=outcome.get("error"),
-                attempts=outcome.get("attempt"),
-                elapsed_seconds=outcome.get("elapsed_seconds"))
-    # Drain the parent process's registry too (cached-cell counters, spans
-    # of serially executed cells) — child processes flushed their own.
-    telemetry.flush_to_catalog(catalog_file)
-
-
 def resolve_catalog_file(catalog: Any, out_dir: Path) -> Optional[Path]:
     """Where a campaign's catalogue lives.
 
@@ -577,6 +540,125 @@ def resolve_catalog_file(catalog: Any, out_dir: Path) -> Optional[Path]:
 
         return catalog_path(out_dir.parent)
     return Path(catalog)
+
+
+@dataclass
+class CampaignSetup:
+    """A campaign resolved, on disk and recorded: what ``repro.run()``
+    executes and ``submit_campaign`` enqueues.
+
+    ``catalog`` is the catalogue the campaign was recorded in, left open
+    for the caller to use and close (None when recording is off).
+    """
+
+    spec: ExperimentSpec
+    scale: ExperimentScale
+    seed: int
+    out_dir: Path
+    cells: List[Dict]
+    payloads: List[Dict]
+    catalog: Any = None
+
+    @property
+    def run_id(self) -> str:
+        return self.out_dir.name
+
+
+def setup_campaign(experiment: ExperimentLike,
+                   scale: Optional[ScaleLike] = None,
+                   seed: Optional[int] = None,
+                   out_dir: Optional[os.PathLike] = None,
+                   root: os.PathLike = "runs", checkpoint_every: int = 2, *,
+                   max_attempts: int = 1, retry_backoff: float = 0.25,
+                   fault_plan: Any = None, catalog: Any = None,
+                   cell_telemetry: bool = False) -> CampaignSetup:
+    """Resolve a campaign, write or check its manifest, and record it.
+
+    The one setup step of both execution paths.  A corrupt
+    ``manifest.json`` is quarantined and rewritten; a valid one holding a
+    *different* campaign is refused.  ``catalog`` selects the catalogue as
+    in :func:`run`.  ``cell_telemetry`` makes each cell flush its telemetry
+    to that catalogue (local runs, whose cells may run in child processes);
+    queue payloads leave it off, because a drain worker reports through its
+    own flusher.
+    """
+    spec = resolve_experiment(experiment)
+    scale = resolve_scale(scale if scale is not None else spec.default_scale)
+    seed = spec.base_seed if seed is None else int(seed)
+    plan = resolve_fault_plan(fault_plan)
+    out_dir = (Path(out_dir) if out_dir is not None
+               else Path(root) / campaign_id(spec.experiment_id, scale, seed))
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    cells = spec.cells(scale)
+    manifest = _manifest_payload(spec, scale, seed, cells)
+    manifest_file = out_dir / "manifest.json"
+    try:
+        existing = load_json(manifest_file) if manifest_file.exists() else None
+    except CorruptArtifactError:
+        existing = None  # quarantined; rewritten below
+    if existing is not None:
+        _check_manifest(existing, manifest, out_dir)
+    else:
+        atomic_write_json(manifest_file, manifest, indent=2)
+
+    catalog_file = resolve_catalog_file(catalog, out_dir)
+    payloads = cell_payloads(
+        spec, scale, seed, out_dir, cells, checkpoint_every=checkpoint_every,
+        fault_plan=plan, max_attempts=max_attempts,
+        retry_backoff=retry_backoff,
+        catalog_file=catalog_file if cell_telemetry else None)
+    store = None
+    if catalog_file is not None:
+        from repro.store.catalog import Catalog  # late: repro.store imports us
+
+        store = Catalog(catalog_file)
+        try:
+            store.record_campaign(
+                out_dir.name, spec, scale.name, seed, out_dir, cells,
+                slugs=[cell["slug"] for cell in manifest["cells"]],
+                fault_plan=plan.to_dict() if plan is not None else None,
+                manifest_version=MANIFEST_VERSION)
+        except BaseException:
+            store.close()
+            raise
+    return CampaignSetup(spec=spec, scale=scale, seed=seed, out_dir=out_dir,
+                         cells=cells, payloads=payloads, catalog=store)
+
+
+def _record_outcomes(setup: CampaignSetup, outcomes: Dict[int, Dict]) -> None:
+    """Record a local campaign's cell outcomes in its catalogue.
+
+    The artifact tree already landed (atomically) by the time this runs; the
+    catalogue is the queryable index over it.
+    """
+    if setup.catalog is None:
+        return
+    from repro.store.catalog import Catalog  # late: repro.store imports us
+
+    path = setup.catalog.path
+    with Catalog(path) as catalog, catalog.conn.transaction():
+        for index in sorted(outcomes):
+            outcome = outcomes[index]
+            # A cached cell carries no attempt: the catalogue keeps the count
+            # recorded when the cell actually ran.
+            catalog.record_cell(
+                setup.run_id, index, setup.cells[index], outcome["status"],
+                row=outcome.get("row"), error=outcome.get("error"),
+                attempts=outcome.get("attempt"),
+                elapsed_seconds=outcome.get("elapsed_seconds"))
+    # Drain the parent process's registry too (cached-cell counters, spans
+    # of serially executed cells) — child processes flushed their own.
+    telemetry.flush_to_catalog(path)
+
+
+def write_results(out_dir: Path, experiment_id: str, scale_name: str,
+                  seed: int, rows: List[Dict]) -> None:
+    """Write a finished campaign's ``results.json`` (the file's one writer)."""
+    atomic_write_json(out_dir / "results.json", {
+        "experiment": experiment_id, "scale": scale_name, "seed": seed,
+        "rows": rows,
+    }, indent=2)
 
 
 # -------------------------------------------------------------------- run()
@@ -633,40 +715,20 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
         ``<out_dir's parent>/catalog.sqlite``, ``False`` disables
         recording, a path selects an explicit catalogue file.
     """
-    spec = resolve_experiment(experiment)
-    scale = resolve_scale(scale if scale is not None else spec.default_scale)
-    seed = spec.base_seed if seed is None else int(seed)
-    plan = resolve_fault_plan(fault_plan)
-
-    out_dir = (Path(out_dir) if out_dir is not None
-               else Path(root) / campaign_id(spec.experiment_id, scale, seed))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    cells = spec.cells(scale)
-    manifest = _manifest_payload(spec, scale, seed, cells)
-    manifest_file = out_dir / "manifest.json"
-    existing_manifest = None
-    if manifest_file.exists():
-        try:
-            existing_manifest = load_json(manifest_file)
-        except CorruptArtifactError:
-            existing_manifest = None  # quarantined; rewrite below
-    if existing_manifest is not None:
-        _check_manifest(existing_manifest, manifest, out_dir)
-    else:
-        atomic_write_json(manifest_file, manifest, indent=2)
-
-    catalog_file = resolve_catalog_file(catalog, out_dir)
-    payloads = cell_payloads(spec, scale, seed, out_dir, cells,
-                             checkpoint_every=checkpoint_every,
-                             fault_plan=plan, max_attempts=max_attempts,
-                             retry_backoff=retry_backoff,
-                             catalog_file=catalog_file)
+    setup = setup_campaign(experiment, scale, seed, out_dir, root,
+                           checkpoint_every, max_attempts=max_attempts,
+                           retry_backoff=retry_backoff, fault_plan=fault_plan,
+                           catalog=catalog, cell_telemetry=True)
+    if setup.catalog is not None:
+        # Cells may run in forked worker processes, which must not inherit
+        # an open SQLite connection: outcomes are recorded on a fresh one.
+        setup.catalog.close()
+    spec, scale, seed, cells = setup.spec, setup.scale, setup.seed, setup.cells
 
     # Cached cells cost one JSON read; only dispatch real work to workers.
     # A corrupt cached result quarantines here and the cell re-runs.
     pending, outcomes = [], {}
-    for payload in payloads:
+    for payload in setup.payloads:
         cached = _cached_outcome(payload["index"],
                                  Path(payload["cell_dir"]) / "result.json")
         if cached is not None:
@@ -692,8 +754,7 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
     finally:
         # The catalogue mirrors whatever the artifact tree holds — including
         # the partial state of an interrupted or strict-failing campaign.
-        _record_campaign_in_catalog(catalog_file, out_dir, spec, scale, seed,
-                                    cells, plan, outcomes)
+        _record_outcomes(setup, outcomes)
     if strict:
         _raise_on_failures(outcomes)
 
@@ -709,11 +770,10 @@ def run(experiment: ExperimentLike, scale: Optional[ScaleLike] = None,
             summary["attempt"] = ordered[index].get("attempt")
         cell_summaries.append(summary)
     if all(row is not None for row in rows):
-        atomic_write_json(out_dir / "results.json", {
-            "experiment": spec.experiment_id, "scale": scale.name, "seed": seed,
-            "rows": rows,
-        }, indent=2)
-    return CampaignResult(spec=spec, scale=scale, seed=seed, out_dir=out_dir,
+        write_results(setup.out_dir, spec.experiment_id, scale.name, seed,
+                      rows)
+    return CampaignResult(spec=spec, scale=scale, seed=seed,
+                          out_dir=setup.out_dir,
                           rows=rows, cells=cell_summaries, workers=workers,
                           strict=strict)
 

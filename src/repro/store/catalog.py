@@ -16,8 +16,10 @@ HTTP server, and the CLI share:
 The catalogue is a *second durable backend*, not a replacement: the artifact
 tree under ``runs/<id>/`` stays the source of truth for resume (checkpoints,
 memos, quarantine), while the catalogue is the queryable index across runs
-and the only source of ``repro status``.  Both are populated by the same
-code paths.
+and the only source of ``repro status``.  Cell rows reach it on two paths
+only: ``repro.run()`` records its outcomes after executing them, and every
+queue drain (local or over HTTP) settles a lease and its cell row together
+in :class:`~repro.store.queue.JobQueue`.
 """
 
 from __future__ import annotations
@@ -116,11 +118,6 @@ class Catalog:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
-
-    @classmethod
-    def for_root(cls, root: Path) -> "Catalog":
-        """The catalogue serving the campaign directories under ``root``."""
-        return cls(catalog_path(root))
 
     # ------------------------------------------------------------- recording
     def record_campaign(self, run_id: str, spec: Any, scale_name: str,
@@ -299,12 +296,6 @@ class Catalog:
             (run_id,))
         return [json.loads(r["row_json"]) if r["row_json"] is not None
                 else None for r in records]
-
-    def attempt_counts(self, run_id: str) -> Dict[int, int]:
-        return {int(r["cell_index"]): int(r["attempts"])
-                for r in self.conn.fetchall(
-                    "SELECT cell_index, attempts FROM cells"
-                    " WHERE run_id = ?", (run_id,))}
 
     # ------------------------------------------------------------- telemetry
     def record_telemetry(self, worker: str, points: Sequence[Mapping[str, Any]],

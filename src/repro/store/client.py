@@ -267,30 +267,33 @@ class StoreClient:
         return bool(response.get("alive"))
 
     def complete(self, run_id: str, cell_index: int, *, status: str,
-                 row: Optional[Mapping[str, Any]],
-                 params: Mapping[str, Any], attempts: int,
+                 row: Optional[Mapping[str, Any]], attempts: int,
                  elapsed_seconds: Optional[float] = None) -> Dict[str, Any]:
-        """Upload a finished cell's row and mark its job done (exactly-once)."""
+        """Upload a finished cell's row and mark its job done (exactly-once).
+
+        ``applied`` in the response is False when the lease was lost.
+        """
         return self.post("/api/jobs/complete", {
             "worker": self.worker_id, "run_id": run_id,
             "cell_index": int(cell_index), "status": status, "row": row,
-            "params": dict(params), "attempts": int(attempts),
-            "elapsed_seconds": elapsed_seconds,
+            "attempts": int(attempts), "elapsed_seconds": elapsed_seconds,
             "idempotency_key": self._next_key("complete"),
         })
 
     def release(self, run_id: str, cell_index: int, *, status: str,
-                error: Optional[str], params: Mapping[str, Any],
-                attempts: int, max_job_attempts: int = 3) -> Dict[str, Any]:
+                error: Optional[str], attempts: int,
+                max_job_attempts: int = 3) -> Dict[str, Any]:
         """Give a failed/interrupted job back to the queue (exactly-once).
 
         ``max_job_attempts`` is the budget the server retires the job
-        against; send the one the claim was made under.
+        against; send the one the claim was made under.  The response's
+        ``state`` is ``"pending"``, ``"failed"``, or ``"lost"`` when the
+        lease was no longer this worker's (nothing was recorded).
         """
         return self.post("/api/jobs/release", {
             "worker": self.worker_id, "run_id": run_id,
             "cell_index": int(cell_index), "status": status, "error": error,
-            "params": dict(params), "attempts": int(attempts),
+            "attempts": int(attempts),
             "max_job_attempts": int(max_job_attempts),
             "idempotency_key": self._next_key("release"),
         })

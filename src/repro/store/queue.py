@@ -12,9 +12,16 @@ A submitted campaign becomes one ``jobs`` row per cell.  N independent
   ``lease_ttl/3`` seconds on the catalogue's shared clock.  A worker that
   dies stops heartbeating, its lease expires, and the cell is claimable
   again — the queue-level analogue of the runner's watchdog;
-* **completion/release** — a finished cell marks its job ``done`` together
-  with the catalogue cell row; a failed cell goes back to ``pending`` until
-  the queue-level attempt budget is exhausted, then ``failed``.
+* **completion/release** — a finished cell marks its job ``done``; a failed
+  cell goes back to ``pending`` until the queue-level attempt budget is
+  exhausted, then ``failed``.  Either way the queue transition and the
+  catalogue cell row commit in **one** transaction, and the row is written
+  only when the worker still held the lease: a worker that lost its lease
+  settles nothing (``release`` answers ``"lost"``), so it can never
+  overwrite the outcome of the worker that reclaimed the cell.  Local
+  workers and ``repro serve`` both settle leases through these two methods;
+* **finalize** — once a run has nothing outstanding, ``results.json`` is
+  written from the catalogue's rows (see :meth:`JobQueue.finalize`).
 
 Every transition appends to ``lease_events`` (claimed / heartbeat /
 completed / failed / released / reclaimed), which is what the chaos tests
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.rl.stats import dump_json
@@ -42,7 +50,7 @@ DEFAULT_JOB_ATTEMPTS = 3
 DEFAULT_LEASE_TTL = 60
 
 
-def released_status(status: str, state: str) -> str:
+def _released_status(status: str, state: str) -> str:
     """The cell status to record for a job released with ``status``.
 
     An ``interrupted`` cell normally resumes, but one the queue just retired
@@ -132,33 +140,43 @@ class JobQueue:
                             None)
         return alive
 
-    def owns(self, job: Job, worker: str) -> bool:
-        """Whether ``worker`` still holds the live lease on ``job``."""
-        return self.conn.scalar(
-            "SELECT 1 FROM jobs WHERE run_id = ? AND cell_index = ?"
-            " AND worker = ? AND state = 'leased'",
-            (job.run_id, job.cell_index, worker)) is not None
+    # ------------------------------------------------------------ settlement
+    def complete(self, job: Job, worker: str, status: str = "completed",
+                 row: Optional[Mapping[str, Any]] = None,
+                 attempts: Optional[int] = None,
+                 elapsed_seconds: Optional[float] = None) -> bool:
+        """Mark a job done and record its cell row, as one transaction.
 
-    # ------------------------------------------------------------ completion
-    def complete(self, job: Job, worker: str) -> bool:
-        """Mark a job done (only if this worker still owns its lease)."""
+        Applies only while ``worker`` still holds the lease; False means it
+        was lost (reclaimed, or already settled) and nothing was recorded.
+        ``attempts`` defaults to the job's queue claims.
+        """
         with self.conn.transaction():
             cursor = self.conn.execute(
                 "UPDATE jobs SET state = 'done', lease_expires_unix = NULL"
                 " WHERE run_id = ? AND cell_index = ? AND worker = ?"
                 " AND state = 'leased'",
                 (job.run_id, job.cell_index, worker))
-            done = cursor.rowcount == 1
-            if done:
-                self._event(job.run_id, job.cell_index, worker, "completed",
-                            None)
-        return done
+            if cursor.rowcount != 1:
+                return False
+            self._event(job.run_id, job.cell_index, worker, "completed",
+                        None)
+            self.catalog.record_cell(
+                job.run_id, job.cell_index, job.payload["params"], status,
+                row=row,
+                attempts=job.attempts if attempts is None else attempts,
+                elapsed_seconds=elapsed_seconds)
+        return True
 
-    def release(self, job: Job, worker: str, error: Optional[str] = None) -> str:
-        """Give a failed/interrupted job back (or retire it past the budget).
+    def release(self, job: Job, worker: str, error: Optional[str] = None,
+                status: str = "failed",
+                attempts: Optional[int] = None) -> str:
+        """Give a failed/interrupted job back (or retire it past the budget),
+        recording the cell's ``status`` in the same transaction.
 
-        Returns the job's new state: ``"pending"`` (re-claimable) or
-        ``"failed"`` (queue-level attempt budget exhausted).
+        Returns the job's new state: ``"pending"`` (re-claimable),
+        ``"failed"`` (queue-level attempt budget exhausted), or ``"lost"``
+        when ``worker`` no longer holds the lease — then nothing changed.
         """
         state = ("failed" if job.attempts >= self.max_job_attempts
                  else "pending")
@@ -168,11 +186,39 @@ class JobQueue:
                 " lease_expires_unix = NULL WHERE run_id = ?"
                 " AND cell_index = ? AND worker = ? AND state = 'leased'",
                 (state, job.run_id, job.cell_index, worker))
-            if cursor.rowcount == 1:
-                self._event(job.run_id, job.cell_index, worker,
-                            "failed" if state == "failed" else "released",
-                            error)
+            if cursor.rowcount != 1:
+                return "lost"
+            self._event(job.run_id, job.cell_index, worker,
+                        "failed" if state == "failed" else "released",
+                        error)
+            self.catalog.record_cell(
+                job.run_id, job.cell_index, job.payload["params"],
+                _released_status(status, state), error=error,
+                attempts=job.attempts if attempts is None else attempts)
         return state
+
+    def finalize(self, run_id: str) -> None:
+        """Write a drained run's ``results.json`` from its catalogue rows.
+
+        Does nothing while jobs are outstanding or a row is missing.  Rows
+        round-trip through the same canonical JSON as ``repro.run()``'s, so
+        the file is byte-identical to a serial run.  Workers may race here;
+        the content is deterministic and the write atomic.
+        """
+        from repro.runs.runner import write_results  # late: runs imports store
+
+        if self.outstanding(run_id) != 0:
+            return
+        info = self.conn.fetchone(
+            "SELECT experiment, scale, seed, out_dir FROM runs"
+            " WHERE run_id = ?", (run_id,))
+        if info is None:
+            return
+        rows = self.catalog.rows(run_id)
+        if not rows or any(row is None for row in rows):
+            return
+        write_results(Path(info["out_dir"]), info["experiment"],
+                      info["scale"], int(info["seed"]), rows)
 
     # ------------------------------------------------------------ inspection
     def counts(self, run_id: Optional[str] = None) -> Dict[str, int]:

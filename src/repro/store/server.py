@@ -48,8 +48,10 @@ server's own metrics into the catalogue it serves.  All of it is inert
 under ``REPRO_TELEMETRY=0``.
 
 Exactly-once mutations: every mutating job request may carry an
-``idempotency_key``; the key lookup, the queue transition, the catalogue
-cell upsert, and the response recording all commit in **one** transaction
+``idempotency_key``; the key lookup, the lease settlement (one
+:meth:`~repro.store.queue.JobQueue.complete` / ``release`` call — the queue
+transition and its catalogue cell row, exactly as a local worker settles
+it), and the response recording all commit in **one** transaction
 (see :meth:`~repro.store.connection.StoreConnection.transaction` —
 re-entrant precisely for this).  A retried or duplicated delivery replays
 the recorded response with ``"replayed": true`` instead of re-applying, so
@@ -90,7 +92,6 @@ from urllib.parse import parse_qs, urlparse
 
 from repro import telemetry
 from repro.rl.stats import dump_json
-from repro.runs.artifacts import atomic_write_json
 from repro.store.catalog import Catalog, catalog_path, code_version
 from repro.store.connection import StoreConnection
 from repro.store.query import aggregate_bench, aggregate_metric
@@ -100,7 +101,6 @@ from repro.store.queue import (
     DEFAULT_LEASE_TTL,
     Job,
     JobQueue,
-    released_status,
 )
 
 DEFAULT_PORT = 8642
@@ -487,23 +487,18 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
     def _job_complete(self) -> None:
         body = self._read_body()
         worker = str(body["worker"])
-        status = str(body.get("status", "completed"))
 
         def apply(catalog: Catalog) -> Dict[str, Any]:
             job = self._job_from(catalog, body)
-            applied = JobQueue(catalog).complete(job, worker)
-            if applied:
-                catalog.record_cell(
-                    job.run_id, job.cell_index,
-                    body.get("params") or job.payload.get("params", {}),
-                    status, row=body.get("row"),
-                    attempts=int(body.get("attempts", job.attempts)),
-                    elapsed_seconds=body.get("elapsed_seconds"))
+            applied = JobQueue(catalog).complete(
+                job, worker, str(body.get("status", "completed")),
+                row=body.get("row"), attempts=body.get("attempts"),
+                elapsed_seconds=body.get("elapsed_seconds"))
             return {"applied": applied, "run_id": job.run_id,
                     "cell_index": job.cell_index}
 
         def finalize(catalog: Catalog) -> None:
-            finalize_from_catalog(catalog, str(body["run_id"]))
+            JobQueue(catalog).finalize(str(body["run_id"]))
 
         self._mutate("complete", body, apply, after=finalize)
 
@@ -513,15 +508,11 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
 
         def apply(catalog: Catalog) -> Dict[str, Any]:
             job = self._job_from(catalog, body)
-            queue = JobQueue(catalog, max_job_attempts=int(
-                body.get("max_job_attempts", DEFAULT_JOB_ATTEMPTS)))
-            state = queue.release(job, worker, error=body.get("error"))
-            catalog.record_cell(
-                job.run_id, job.cell_index,
-                body.get("params") or job.payload.get("params", {}),
-                released_status(str(body.get("status", "failed")), state),
-                error=body.get("error"),
-                attempts=int(body.get("attempts", job.attempts)))
+            state = JobQueue(catalog, max_job_attempts=int(
+                body.get("max_job_attempts", DEFAULT_JOB_ATTEMPTS))).release(
+                    job, worker, error=body.get("error"),
+                    status=str(body.get("status", "failed")),
+                    attempts=body.get("attempts"))
             return {"state": state, "run_id": job.run_id,
                     "cell_index": job.cell_index}
 
@@ -675,32 +666,6 @@ class _Responded(BaseException):
     """
 
 
-def finalize_from_catalog(catalog: Catalog, run_id: str) -> None:
-    """Write a drained run's ``results.json`` from its catalogue rows.
-
-    The server-side twin of the worker's tree-based ``_finalize_run``:
-    remote workers never touch the server host's artifact tree, so once the
-    queue has nothing outstanding and every cell row landed, the *server*
-    materializes ``results.json``.  Rows round-trip through the same
-    canonical ``dump_json`` as the runner's, so the file is byte-identical
-    to a serial ``repro.run()``.
-    """
-    if JobQueue(catalog).outstanding(run_id) != 0:
-        return
-    info = catalog.conn.fetchone(
-        "SELECT experiment, scale, seed, out_dir FROM runs"
-        " WHERE run_id = ?", (run_id,))
-    if info is None:
-        return
-    rows = catalog.rows(run_id)
-    if not rows or any(row is None for row in rows):
-        return
-    atomic_write_json(Path(info["out_dir"]) / "results.json", {
-        "experiment": info["experiment"], "scale": info["scale"],
-        "seed": int(info["seed"]), "rows": rows,
-    }, indent=2)
-
-
 def make_server(root: Path, host: str = "127.0.0.1",
                 port: int = DEFAULT_PORT) -> CampaignServer:
     """Build (but do not start) a campaign server; port 0 picks a free one."""
@@ -735,7 +700,6 @@ __all__ = [
     "DEFAULT_PORT",
     "MAX_BODY_BYTES",
     "REQUEST_TIMEOUT_SECONDS",
-    "finalize_from_catalog",
     "make_server",
     "serve",
 ]

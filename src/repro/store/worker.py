@@ -1,32 +1,38 @@
 """Campaign submission and the ``repro work`` drain loop (local + remote).
 
-``submit_campaign`` turns an experiment into durable queue state: it writes
-the campaign's ``manifest.json`` (exactly as ``repro.run()`` would), records
-the run + provenance + pending cells in the catalogue, and enqueues one job
-per cell.  Nothing executes yet — execution belongs to workers.
+``submit_campaign`` turns an experiment into durable queue state: it sets
+the campaign up through the runner's own ``setup_campaign`` (the same
+``manifest.json`` check or write, the same catalogue record of the run,
+provenance and pending cells as ``repro.run()``) and enqueues one job per
+cell.  Nothing executes yet — execution belongs to workers.
 
 ``work()`` is one worker process: claim a job, execute its cell through the
 runner's own ``_attempt_cell`` path (same artifact tree, same
-strict/lenient/retry/fault semantics as ``repro.run()``), heartbeat the
-lease from a background thread while the cell runs, then mark the job done
-together with the catalogue cell row.  N workers on one catalogue drain a
-campaign cooperatively; a killed worker's lease expires and its cell is
-reclaimed and re-run, so the drained campaign is bit-identical to a serial
-``repro.run()`` of the same experiment.
+strict/lenient/retry/fault semantics as ``repro.run()``), renew the lease
+from a background heartbeat thread while the cell runs, then settle the
+lease: :meth:`~repro.store.queue.JobQueue.complete` or ``release`` moves
+the job and writes the catalogue cell row in one transaction.  N workers on
+one catalogue drain a campaign cooperatively; a killed worker's lease
+expires and its cell is reclaimed and re-run, so the drained campaign is
+bit-identical to a serial ``repro.run()`` of the same experiment.
 
 Two queue backends share that loop:
 
 * **local** (the default): the worker opens the catalogue file directly —
-  same-host draining, exactly as in PR 8;
+  same-host draining, on one connection shared with its heartbeats;
 * **remote** (``server="http://host:port"``): the worker speaks the lease
   protocol over HTTP through :class:`~repro.store.client.StoreClient` —
   deadline, bounded deterministic retries, idempotency keys — and never
   touches the catalogue.  Cell artifacts land under a *local* root
   (payload paths are remapped per host); the finished row is uploaded with
-  ``complete`` and the **server** materializes ``results.json`` from the
-  catalogue.  Cells are deterministic in (params, scale, seed), so a cell
+  ``complete``, and the server settles it through the same ``JobQueue``
+  calls.  Cells are deterministic in (params, scale, seed), so a cell
   reclaimed across hosts recomputes the identical row without any shared
   filesystem.
+
+Either way, once a run has nothing outstanding its ``results.json`` is
+written from the catalogue's rows by :meth:`~repro.store.queue.JobQueue
+.finalize` — by the local worker, or by the server for remote workers.
 
 Signals: SIGTERM/SIGINT interrupt the drain loop cleanly — the worker
 releases its current lease (recorded as ``released`` in ``lease_events``,
@@ -45,20 +51,12 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional
 
 from repro import telemetry
-from repro.experiments.common import ScaleLike, resolve_scale
-from repro.runs.artifacts import atomic_write_json, load_json
-from repro.runs.faults import resolve_fault_plan
-from repro.runs.registry import ExperimentLike, resolve_experiment
-from repro.runs.runner import (
-    _attempt_cell,
-    _manifest_payload,
-    campaign_id,
-    cell_payloads,
-    cell_slug,
-)
+from repro.experiments.common import ScaleLike
+from repro.runs.registry import ExperimentLike
+from repro.runs.runner import _attempt_cell, setup_campaign
 from repro.store.catalog import Catalog, catalog_path
 from repro.store.client import (
     DEFAULT_BACKOFF_SECONDS,
@@ -73,7 +71,6 @@ from repro.store.queue import (
     DEFAULT_LEASE_TTL,
     Job,
     JobQueue,
-    released_status,
 )
 
 
@@ -98,54 +95,25 @@ def submit_campaign(experiment: ExperimentLike,
                     out_dir: Optional[os.PathLike] = None,
                     checkpoint_every: int = 2,
                     max_attempts: int = 1, retry_backoff: float = 0.25,
-                    fault_plan: Any = None,
-                    catalog: Optional[Catalog] = None) -> Submission:
+                    fault_plan: Any = None) -> Submission:
     """Register a campaign in the catalogue and enqueue its cells.
 
     Safe to call twice: the manifest check refuses a *different* campaign in
     the same directory, existing cell/job rows are kept, and already-finished
     cells complete instantly when a worker claims them (their ``result.json``
-    is the memo).
+    is the memo).  The campaign is set up exactly as ``repro.run()`` sets it
+    up, and its jobs are enqueued on the same catalogue connection.
     """
-    from repro.runs.runner import _check_manifest  # late: keeps import graph flat
-
-    spec = resolve_experiment(experiment)
-    scale = resolve_scale(scale if scale is not None else spec.default_scale)
-    seed = spec.base_seed if seed is None else int(seed)
-    plan = resolve_fault_plan(fault_plan)
-    root = Path(root)
-    out_dir = (Path(out_dir) if out_dir is not None
-               else root / campaign_id(spec.experiment_id, scale, seed))
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    cells = spec.cells(scale)
-    manifest = _manifest_payload(spec, scale, seed, cells)
-    manifest_file = out_dir / "manifest.json"
-    if manifest_file.exists():
-        _check_manifest(load_json(manifest_file), manifest, out_dir)
-    else:
-        atomic_write_json(manifest_file, manifest, indent=2)
-
-    payloads = cell_payloads(spec, scale, seed, out_dir, cells,
-                             checkpoint_every=checkpoint_every,
-                             fault_plan=plan, max_attempts=max_attempts,
-                             retry_backoff=retry_backoff)
-    run_id = out_dir.name
-    owns_catalog = catalog is None
-    catalog = catalog if catalog is not None else Catalog(
-        catalog_path(out_dir.parent))
+    setup = setup_campaign(experiment, scale, seed, out_dir, root,
+                           checkpoint_every, max_attempts=max_attempts,
+                           retry_backoff=retry_backoff, fault_plan=fault_plan)
     try:
-        catalog.record_campaign(
-            run_id, spec, scale.name, seed, out_dir, cells,
-            slugs=[cell_slug(i, params) for i, params in enumerate(cells)],
-            fault_plan=plan.to_dict() if plan is not None else None,
-            manifest_version=manifest["version"])
-        enqueued = JobQueue(catalog).submit(run_id, payloads)
+        enqueued = JobQueue(setup.catalog).submit(setup.run_id,
+                                                  setup.payloads)
     finally:
-        if owns_catalog:
-            catalog.close()
-    return Submission(run_id=run_id, out_dir=out_dir, cells=len(cells),
-                      enqueued=enqueued)
+        setup.catalog.close()
+    return Submission(run_id=setup.run_id, out_dir=setup.out_dir,
+                      cells=len(setup.cells), enqueued=enqueued)
 
 
 @dataclass
@@ -211,56 +179,24 @@ class _SignalGuard:
 
 
 class _Heartbeat:
-    """Background lease renewal while a cell executes (local backend).
+    """Background lease renewal while a cell executes.
 
-    Runs on its own catalogue connection (a connection serves one thread at
-    a time); only touches the lease row, never the cell's computation, so
-    worker results stay deterministic.
+    ``beat`` extends the lease once and answers True (alive), False (lost:
+    stop beating, the claim's new owner re-runs the cell) or None (a
+    transient failure: keep trying; the lease may lapse and be reclaimed,
+    the semantics a dead network should have).  Beats only touch the lease,
+    never the cell's computation, so worker results stay deterministic.
+
+    ``join_timeout`` bounds how long leaving the scope waits for a beat in
+    flight.  None waits it out: the local beat shares the worker's
+    catalogue connection, which one thread may use at a time.
     """
 
-    def __init__(self, path: Path, job: Job, worker_id: str, lease_ttl: int):
-        self._path = path
-        self._job = job
-        self._worker_id = worker_id
+    def __init__(self, beat: Callable[[], Optional[bool]], lease_ttl: int,
+                 join_timeout: Optional[float]):
+        self._beat = beat
         self._ttl = int(lease_ttl)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def _run(self) -> None:
-        interval = max(1.0, self._ttl / 3.0)
-        gap_seconds = telemetry.histogram("worker.heartbeat.gap_seconds")
-        last = time.perf_counter()
-        with Catalog(self._path) as catalog:
-            queue = JobQueue(catalog)
-            while not self._stop.wait(interval):
-                if not queue.heartbeat(self._job, self._worker_id, self._ttl):
-                    telemetry.counter("worker.heartbeat.lost").inc()
-                    return  # lease lost; the claim's new owner re-runs the cell
-                now = time.perf_counter()
-                gap_seconds.record(now - last)
-                last = now
-
-    def __enter__(self) -> "_Heartbeat":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-
-
-class _RemoteHeartbeat:
-    """Background lease renewal over HTTP (remote backend).
-
-    A transport error here is tolerated (the lease may lapse and be
-    reclaimed — exactly the semantics a dead network should have); a fatal
-    protocol error stops the thread.
-    """
-
-    def __init__(self, client: StoreClient, job: Job, lease_ttl: int):
-        self._client = client
-        self._job = job
-        self._ttl = int(lease_ttl)
+        self._join_timeout = join_timeout
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -269,60 +205,36 @@ class _RemoteHeartbeat:
         gap_seconds = telemetry.histogram("worker.heartbeat.gap_seconds")
         last = time.perf_counter()
         while not self._stop.wait(interval):
-            try:
-                if not self._client.heartbeat(self._job.run_id,
-                                              self._job.cell_index,
-                                              self._ttl):
-                    telemetry.counter("worker.heartbeat.lost").inc()
-                    return  # lease lost to a reclaim
-            except RetryableTransportError:
-                # Server unreachable; keep trying until told to stop.  The
-                # gap histogram only advances on success, so the next
+            alive = self._beat()
+            if alive is None:
+                # The gap histogram only advances on success, so the next
                 # successful beat records the true outage-spanning gap.
                 continue
-            except FatalRequestError:
+            if not alive:
+                telemetry.counter("worker.heartbeat.lost").inc()
                 return
             now = time.perf_counter()
             gap_seconds.record(now - last)
             last = now
 
-    def __enter__(self) -> "_RemoteHeartbeat":
+    def __enter__(self) -> "_Heartbeat":
         self._thread.start()
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self._stop.set()
-        self._thread.join(timeout=5.0)
+        self._thread.join(timeout=self._join_timeout)
 
 
 def default_worker_id() -> str:
     return f"{socket.gethostname()}-{os.getpid()}"
 
 
-def _finalize_run(catalog: Catalog, out_dir: Path) -> None:
-    """Write ``results.json`` once every cell of a drained run completed.
-
-    Rows come from the cells' ``result.json`` files (the artifact tree is
-    the source of truth), matching ``repro.run()`` byte-for-byte.  Multiple
-    workers may race here; the content is deterministic and the write
-    atomic, so the race is harmless.
-    """
-    from repro.runs.runner import _load_result
-
-    manifest = load_json(out_dir / "manifest.json")
-    results = [_load_result(out_dir / "cells" / cell["slug"] / "result.json")
-               for cell in manifest["cells"]]
-    if any(result is None for result in results):
-        return
-    atomic_write_json(out_dir / "results.json", {
-        "experiment": manifest["experiment"]["experiment_id"],
-        "scale": manifest["scale"]["name"], "seed": manifest["seed"],
-        "rows": [result["row"] for result in results],
-    }, indent=2)
-
-
 class _LocalBackend:
-    """Queue access through the catalogue file (same-host draining)."""
+    """Queue access through the catalogue file (same-host draining).
+
+    One catalogue connection serves the drain loop and its heartbeats.
+    """
 
     def __init__(self, path: Path, worker_id: str, max_job_attempts: int):
         self.path = Path(path)
@@ -334,35 +246,29 @@ class _LocalBackend:
         return self.queue.claim(self.worker_id, run_id=run_id,
                                 lease_ttl=lease_ttl)
 
-    def heartbeat_channel(self, job: Job, lease_ttl: int) -> Any:
-        return _Heartbeat(self.path, job, self.worker_id, lease_ttl)
+    def heartbeat_channel(self, job: Job, lease_ttl: int) -> _Heartbeat:
+        return _Heartbeat(
+            lambda: self.queue.heartbeat(job, self.worker_id, lease_ttl),
+            lease_ttl, join_timeout=None)
 
     def localize(self, job: Job) -> Dict[str, Any]:
         return dict(job.payload)
 
     def complete(self, job: Job, status: str, row: Optional[Mapping[str, Any]],
                  attempts: int, elapsed: Optional[float]) -> bool:
-        if not self.queue.complete(job, self.worker_id):
-            return False
-        self.catalog.record_cell(job.run_id, job.cell_index,
-                                 job.payload["params"], status, row=row,
-                                 attempts=attempts, elapsed_seconds=elapsed)
-        return True
+        return self.queue.complete(job, self.worker_id, status, row=row,
+                                   attempts=attempts, elapsed_seconds=elapsed)
 
     def release(self, job: Job, status: str, error: Optional[str],
                 attempts: int) -> str:
-        state = self.queue.release(job, self.worker_id, error=error)
-        self.catalog.record_cell(job.run_id, job.cell_index,
-                                 job.payload["params"], released_status(status, state),
-                                 error=error, attempts=attempts)
-        return state
+        return self.queue.release(job, self.worker_id, error=error,
+                                  status=status, attempts=attempts)
 
     def outstanding(self, run_id: Optional[str]) -> int:
         return self.queue.outstanding(run_id)
 
     def finalize(self, job: Job) -> None:
-        if self.queue.outstanding(job.run_id) == 0:
-            _finalize_run(self.catalog, Path(job.payload["out_dir"]))
+        self.queue.finalize(job.run_id)
 
     def telemetry_sink(self, worker_id: str) -> Any:
         return telemetry.CatalogSink(self.path, worker=worker_id)
@@ -401,8 +307,18 @@ class _RemoteBackend:
                    attempts=int(record["attempts"]),
                    reclaimed_from=record.get("reclaimed_from"))
 
-    def heartbeat_channel(self, job: Job, lease_ttl: int) -> Any:
-        return _RemoteHeartbeat(self.client, job, lease_ttl)
+    def heartbeat_channel(self, job: Job, lease_ttl: int) -> _Heartbeat:
+        def beat() -> Optional[bool]:
+            try:
+                return self.client.heartbeat(job.run_id, job.cell_index,
+                                             lease_ttl)
+            except RetryableTransportError:
+                return None  # server unreachable; keep trying
+            except FatalRequestError:
+                return False  # the server refuses this lease
+
+        # A beat stuck in network retries is left to finish on its own.
+        return _Heartbeat(beat, lease_ttl, join_timeout=5.0)
 
     def localize(self, job: Job) -> Dict[str, Any]:
         """Remap the payload's artifact paths onto this worker's host."""
@@ -417,18 +333,16 @@ class _RemoteBackend:
                  attempts: int, elapsed: Optional[float]) -> bool:
         response = self.client.complete(
             job.run_id, job.cell_index, status=status, row=row,
-            params=job.payload["params"], attempts=attempts,
-            elapsed_seconds=elapsed)
+            attempts=attempts, elapsed_seconds=elapsed)
         return bool(response.get("applied"))
 
     def release(self, job: Job, status: str, error: Optional[str],
                 attempts: int) -> str:
         response = self.client.release(job.run_id, job.cell_index,
                                        status=status, error=error,
-                                       params=job.payload["params"],
                                        attempts=attempts,
                                        max_job_attempts=self.max_job_attempts)
-        return str(response.get("state", "pending"))
+        return str(response["state"])
 
     def outstanding(self, run_id: Optional[str]) -> int:
         return self.client.outstanding(run_id)
@@ -519,7 +433,7 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
                     if new_state == "failed":
                         summary.failed += 1
                         telemetry.counter("worker.cells.failed").inc()
-                    else:
+                    elif new_state != "lost":  # lost: the new owner settles
                         summary.released += 1
                         telemetry.counter("worker.cells.released").inc()
                     record["error"] = outcome.get("error")
@@ -533,11 +447,12 @@ def work(root: os.PathLike = "runs", run_id: Optional[str] = None,
             # worker picks it up without waiting out the lease TTL.  If the
             # network is also gone, the lease expiring does the same job.
             try:
-                backend.release(job, "interrupted", str(signalled),
-                                job.attempts)
+                lost = backend.release(job, "interrupted", str(signalled),
+                                       job.attempts) == "lost"
             except (RetryableTransportError, FatalRequestError):
-                pass
-            summary.released += 1
+                lost = False
+            if not lost:
+                summary.released += 1
             summary.cells.append({"index": job.cell_index,
                                   "run_id": job.run_id,
                                   "status": "interrupted",

@@ -1,9 +1,22 @@
-"""Helpers shared by the campaign tests (runs, faults, experiments)."""
+"""Helpers shared by the campaign tests (runs, faults, store, telemetry)."""
 
 from __future__ import annotations
 
-from repro.runs import get_experiment
+from repro.runs import ExperimentSpec, get_experiment
 from repro.store import Catalog, catalog_path
+
+
+def chaos_spec(*cells: dict) -> ExperimentSpec:
+    """A campaign over the training-free ``tests/chaos_driver`` cells."""
+    return ExperimentSpec(experiment_id="chaos", driver="chaos_driver",
+                          columns=("name", "value"), grid=cells,
+                          default_scale="smoke")
+
+
+def ok_cells(n: int):
+    """``n`` chaos cells that succeed, each with a distinct value."""
+    return tuple({"mode": "ok", "name": f"c{i}", "offset": i}
+                 for i in range(n))
 
 
 def cell_rows(experiment_id, scale="smoke", seed=0, **params):

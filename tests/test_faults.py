@@ -17,7 +17,6 @@ import repro
 from repro.rl.stats import dump_json
 from repro.runs import (
     CampaignInterrupted,
-    ExperimentSpec,
     Fault,
     FaultPlan,
     quarantined_files,
@@ -42,13 +41,7 @@ from repro.runs.faults import (
     resolve_network_chaos_plan,
 )
 
-from campaign_helpers import catalog_run
-
-
-def chaos_spec(*cells: dict) -> ExperimentSpec:
-    return ExperimentSpec(experiment_id="chaos", driver="chaos_driver",
-                          columns=("name", "value"), grid=cells,
-                          default_scale="smoke")
+from campaign_helpers import catalog_run, chaos_spec
 
 
 def assert_clean_tree(out_dir) -> None:

@@ -22,7 +22,7 @@ import pytest
 
 import repro
 from repro.rl.stats import dump_json
-from repro.runs import ExperimentSpec, register_experiment, unregister_experiment
+from repro.runs import quarantined_files, register_experiment, unregister_experiment
 from repro.runs.cli import main as cli_main
 from repro.runs.faults import Fault, FaultPlan
 from repro.store import Catalog, JobQueue, catalog_path, connect, spec_hash
@@ -31,15 +31,11 @@ from repro.store.ingest import ingest_bench_file, record_bench_entry
 from repro.store.query import aggregate_bench, aggregate_metric, format_rows
 from repro.store.queue import Job
 from repro.store.server import make_server
-from repro.store.worker import submit_campaign, work
+from repro.store.worker import _LocalBackend, submit_campaign, work
+
+from campaign_helpers import chaos_spec, ok_cells
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def chaos_spec(*cells: dict) -> ExperimentSpec:
-    return ExperimentSpec(experiment_id="chaos", driver="chaos_driver",
-                          columns=("name", "value"), grid=cells,
-                          default_scale="smoke")
 
 
 # --------------------------------------------------------------------------
@@ -290,7 +286,6 @@ class TestJobQueue:
             stale = queue.claim("loser", lease_ttl=-1)  # born expired
             reclaimed = queue.claim("winner", lease_ttl=60)
             assert reclaimed.reclaimed_from == "loser"
-            assert queue.owns(stale, "loser") is False
             assert queue.heartbeat(stale, "loser") is False
             assert queue.complete(stale, "loser") is False
             assert queue.complete(reclaimed, "winner") is True
@@ -299,6 +294,75 @@ class TestJobQueue:
             assert events == ["claimed", "reclaimed", "completed"]
         finally:
             catalog.close()
+
+
+# --------------------------------------------------------------------------
+class TestLeaseSettlement:
+    """A lease and its cell row settle together, or not at all."""
+
+    def test_stale_release_after_reclaim_keeps_completed_cell(self, tmp_path):
+        root = tmp_path / "runs"
+        run_id = submit_campaign(chaos_spec(*ok_cells(1)), root=root).run_id
+        path = catalog_path(root)
+        loser = _LocalBackend(path, "loser", max_job_attempts=3)
+        winner = _LocalBackend(path, "winner", max_job_attempts=3)
+        row = {"name": "c0", "value": 1.0}
+        try:
+            stale = loser.claim(run_id, lease_ttl=-1)  # born expired
+            job = winner.claim(run_id, lease_ttl=60)
+            assert job.reclaimed_from == "loser"
+            assert winner.complete(job, "completed", row, job.attempts, 0.5)
+            # The loser's cell failed after it lost the lease: its release
+            # must not touch the cell the winner already completed.
+            assert loser.release(stale, "failed", "late failure",
+                                 stale.attempts) == "lost"
+        finally:
+            loser.close()
+            winner.close()
+        with Catalog(path) as catalog:
+            cell = catalog.cell_statuses(run_id)[0]
+            assert (cell["status"], cell["error"]) == ("completed", None)
+            assert catalog.rows(run_id) == [row]
+            assert catalog.run_info(run_id)["status"] == "complete"
+            queue = JobQueue(catalog)
+            assert queue.counts(run_id) == {"done": 1}
+            assert [e["event"] for e in queue.lease_events(run_id)] == [
+                "claimed", "reclaimed", "completed"]
+
+    def test_failed_cell_row_keeps_the_job_leased(self, tmp_path,
+                                                  monkeypatch):
+        root = tmp_path / "runs"
+        run_id = submit_campaign(chaos_spec(*ok_cells(1)), root=root).run_id
+
+        def broken_record_cell(*args, **kwargs):
+            raise RuntimeError("catalogue write failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Catalog, "record_cell", broken_record_cell)
+            with pytest.raises(RuntimeError, match="catalogue write failed"):
+                work(root=root, worker_id="crashed", lease_ttl=-1)
+        with Catalog(catalog_path(root)) as catalog:
+            assert JobQueue(catalog).counts(run_id) == {"leased": 1}
+            assert catalog.cell_statuses(run_id)[0]["status"] == "pending"
+        # The expired lease is reclaimed and the cell settles normally.
+        summary = work(root=root, worker_id="rescuer")
+        assert (summary.reclaimed, summary.completed) == (1, 1)
+        with Catalog(catalog_path(root)) as catalog:
+            assert catalog.run_info(run_id)["status"] == "complete"
+        assert (root / run_id / "results.json").exists()
+
+    def test_submit_quarantines_and_rewrites_a_torn_manifest(self, tmp_path):
+        root = tmp_path / "runs"
+        spec = chaos_spec(*ok_cells(2))
+        first = submit_campaign(spec, root=root)
+        manifest_file = first.out_dir / "manifest.json"
+        intact = manifest_file.read_bytes()
+        manifest_file.write_bytes(intact[:len(intact) // 2])  # a torn write
+        again = submit_campaign(spec, root=root)
+        assert (again.run_id, again.enqueued) == (first.run_id, 0)
+        assert manifest_file.read_bytes() == intact
+        assert [p.name for p in quarantined_files(first.out_dir)] == [
+            "manifest.json.corrupt-0"]
 
 
 # --------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.runs import ExperimentSpec
 from repro.runs.cli import main as cli_main
 from repro.runs.faults import Fault, FaultPlan, NetworkChaosPlan, NetworkFault
 from repro.store import Catalog, JobQueue, catalog_path
@@ -40,18 +39,9 @@ from repro.store.client import (
 from repro.store.server import make_server
 from repro.store.worker import submit_campaign, work
 
+from campaign_helpers import chaos_spec, ok_cells
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-
-def chaos_spec(*cells: dict) -> ExperimentSpec:
-    return ExperimentSpec(experiment_id="chaos", driver="chaos_driver",
-                          columns=("name", "value"), grid=cells,
-                          default_scale="smoke")
-
-
-def ok_cells(n: int):
-    return tuple({"mode": "ok", "name": f"c{i}", "offset": i}
-                 for i in range(n))
 
 
 class FakeTransport:
@@ -160,7 +150,7 @@ class TestIdempotencyKeys:
                                   (200, b'{"applied": true}'))
         client = client_with(transport, max_retries=4)
         client.complete("run", 0, status="completed", row={"v": 1},
-                        params={}, attempts=1)
+                        attempts=1)
         keys = self._keys_of(transport)
         assert len(keys) == 3
         assert len(set(keys)) == 1  # one logical mutation, one key
@@ -304,7 +294,6 @@ class TestLeaseProtocolHTTP:
         assert client.heartbeat("chaos-smoke", 0) is True
         response = client.complete("chaos-smoke", 0, status="completed",
                                    row={"name": "c0", "value": 1.0},
-                                   params=job["payload"]["params"],
                                    attempts=1)
         assert response["applied"] is True
         assert client.outstanding("chaos-smoke") == 1
@@ -320,8 +309,7 @@ class TestLeaseProtocolHTTP:
         job = client.claim(run_id="chaos-smoke")
         body = {"worker": "w1", "run_id": "chaos-smoke",
                 "cell_index": job["cell_index"], "status": "completed",
-                "row": {"name": "c0", "value": 1.0},
-                "params": job["payload"]["params"], "attempts": 1,
+                "row": {"name": "c0", "value": 1.0}, "attempts": 1,
                 "idempotency_key": "w1.feed.000001.complete"}
         first = client.post("/api/jobs/complete", body)
         second = client.post("/api/jobs/complete", body)  # duplicated delivery
@@ -343,7 +331,6 @@ class TestLeaseProtocolHTTP:
             assert job["cell_index"] == 0
             states.append(client.release(
                 "chaos-smoke", 0, status="interrupted", error="killed",
-                params=job["payload"]["params"],
                 attempts=job["attempts"])["state"])
         assert states == ["pending", "pending", "failed"]
         with Catalog(catalog_path(root)) as catalog:
@@ -378,12 +365,35 @@ class TestLeaseProtocolHTTP:
         assert loser.heartbeat("chaos-smoke", job["cell_index"]) is False
         late = loser.complete("chaos-smoke", job["cell_index"],
                               status="completed", row={"v": 1},
-                              params={}, attempts=1)
+                              attempts=1)
         assert late["applied"] is False
         good = winner.complete("chaos-smoke", reclaimed["cell_index"],
                                status="completed", row={"v": 1},
-                               params={}, attempts=2)
+                               attempts=2)
         assert good["applied"] is True
+
+    def test_stale_release_after_reclaim_is_lost(self, tmp_path, serving):
+        root = tmp_path / "server"
+        submit_campaign(chaos_spec(*ok_cells(1)), root=root)
+        server, url = serving(root)
+        loser = StoreClient(url, worker_id="loser", backoff=0.01)
+        winner = StoreClient(url, worker_id="winner", backoff=0.01)
+        stale = loser.claim(run_id="chaos-smoke", lease_ttl=-1)  # born expired
+        job = winner.claim(run_id="chaos-smoke")
+        assert job["reclaimed_from"] == "loser"
+        row = {"name": "c0", "value": 1.0}
+        assert winner.complete("chaos-smoke", 0, status="completed", row=row,
+                               attempts=job["attempts"])["applied"] is True
+        late = loser.release("chaos-smoke", 0, status="failed",
+                             error="late failure", attempts=stale["attempts"])
+        assert late["state"] == "lost"
+        assert winner.get("/api/campaigns/chaos-smoke/rows")["rows"] == [row]
+        info = winner.get("/api/campaigns/chaos-smoke")
+        assert info["status"] == "complete"
+        assert info["cell_statuses"][0]["status"] == "completed"
+        assert info["queue"] == {"done": 1}
+        results = json.loads((root / "chaos-smoke" / "results.json").read_text())
+        assert results["rows"] == [row]
 
     def test_draining_server_refuses_claims_with_503(self, lease_server):
         root, server, url = lease_server
@@ -477,8 +487,7 @@ class TestCatalogPool:
             if job is None:
                 break
             client.complete("chaos-smoke", job["cell_index"],
-                            status="completed", row={"v": 1},
-                            params=job["payload"]["params"], attempts=1)
+                            status="completed", row={"v": 1}, attempts=1)
             client.get("/api/campaigns/chaos-smoke")
             requests += 2
         assert requests >= 50

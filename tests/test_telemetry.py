@@ -15,10 +15,11 @@ import pytest
 
 import repro
 from repro import telemetry
-from repro.runs import ExperimentSpec
 from repro.store import Catalog, catalog_path
 from repro.telemetry.dashboard import LocalSource, render
 from repro.telemetry.registry import MetricRegistry
+
+from campaign_helpers import chaos_spec
 
 
 @pytest.fixture(autouse=True)
@@ -27,12 +28,6 @@ def clean_telemetry():
     telemetry.configure(enabled=True, reset=True)
     yield
     telemetry.configure(enabled=None, reset=True)
-
-
-def chaos_spec(*cells: dict) -> ExperimentSpec:
-    return ExperimentSpec(experiment_id="chaos", driver="chaos_driver",
-                          columns=("name", "value"), grid=cells,
-                          default_scale="smoke")
 
 
 # --------------------------------------------------------------------------
